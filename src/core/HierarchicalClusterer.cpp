@@ -2,12 +2,12 @@
 
 #include "core/HierarchicalClusterer.h"
 
+#include "core/MergeHeap.h"
 #include "obs/MetricSink.h"
 #include "support/ErrorHandling.h"
 
 #include <algorithm>
 #include <cmath>
-#include <queue>
 
 using namespace cta;
 
@@ -38,24 +38,6 @@ struct Cluster {
     Size += Other.Size;
   }
 };
-
-/// Heap entry for the agglomerative merge, with lazy invalidation through
-/// per-cluster version counters. Ids and versions are 16 bit (both are
-/// bounded by the cluster count, which mergeDown checks) so an entry is
-/// 24 bytes: the heap holds O(N^2) entries and sift cost is memory bound.
-struct MergeCandidate {
-  std::uint64_t Dot;
-  std::uint64_t TieBreakSize; // prefer merging smaller clusters on ties
-  std::uint16_t A, B;
-  std::uint16_t VerA, VerB;
-
-  bool operator<(const MergeCandidate &RHS) const {
-    if (Dot != RHS.Dot)
-      return Dot < RHS.Dot; // max-heap on affinity
-    return TieBreakSize > RHS.TieBreakSize;
-  }
-};
-static_assert(sizeof(MergeCandidate) == 24, "heap entry stays packed");
 
 class ClustererImpl {
   std::vector<IterationGroup> &Groups;
@@ -173,12 +155,14 @@ private:
     const std::uint32_t N = Clusters.size();
     if (N > UINT16_MAX)
       reportFatalError("too many clusters for the merge heap's 16-bit ids");
-    std::vector<std::uint16_t> Version(N, 0);
     std::vector<bool> Alive(N, true);
-    std::vector<MergeCandidate> Store;
-    Store.reserve(static_cast<std::size_t>(N) * N);
-    std::priority_queue<MergeCandidate> Heap(std::less<MergeCandidate>(),
-                                             std::move(Store));
+    // Per-cluster sizes, the heap's staleness stamps (see MergeCandidate);
+    // clusterForTopology bounds their sum by UINT32_MAX.
+    std::vector<std::uint32_t> Size(N);
+    for (std::uint32_t I = 0; I != N; ++I)
+      Size[I] = static_cast<std::uint32_t>(Clusters[I].Size);
+    MergeHeap Heap;
+    Heap.reserve(static_cast<std::size_t>(N) * N);
 
     // Pairwise signature dot products, maintained incrementally: the dot
     // is bilinear in the member tags, so dot(A+B, I) = dot(A, I) +
@@ -200,61 +184,47 @@ private:
           }
     }
 
-    auto push = [&](std::uint32_t A, std::uint32_t B) {
-      std::uint64_t Dot = DotM[static_cast<std::size_t>(A) * N + B];
-      Heap.push({Dot, Clusters[A].Size + Clusters[B].Size,
-                 static_cast<std::uint16_t>(A), static_cast<std::uint16_t>(B),
-                 Version[A], Version[B]});
-    };
     for (std::uint32_t A = 0; A != N; ++A)
       for (std::uint32_t B = A + 1; B != N; ++B)
-        push(A, B);
+        Heap.push({DotM[static_cast<std::size_t>(A) * N + B],
+                   Size[A] + Size[B], static_cast<std::uint16_t>(A),
+                   static_cast<std::uint16_t>(B)});
 
+    // Every alive pair has exactly one current candidate in the heap, so
+    // while two clusters are alive a pop finds one.
     std::uint32_t AliveCount = N;
     while (AliveCount > K) {
-      std::uint32_t A = UINT32_MAX, B = UINT32_MAX;
-      while (!Heap.empty()) {
-        MergeCandidate Top = Heap.top();
+      // Skip stale candidates: a side died or grew since the push.
+      MergeCandidate Top{};
+      do {
+        if (Heap.empty())
+          cta_unreachable("merge heap ran dry with clusters left to merge");
+        Top = Heap.top();
         Heap.pop();
-        if (!Alive[Top.A] || !Alive[Top.B] || Version[Top.A] != Top.VerA ||
-            Version[Top.B] != Top.VerB)
-          continue;
-        A = Top.A;
-        B = Top.B;
-        break;
-      }
-      if (A == UINT32_MAX) {
-        // No affinity left: merge the two smallest alive clusters to keep
-        // sizes balanced.
-        std::uint32_t S1 = UINT32_MAX, S2 = UINT32_MAX;
-        for (std::uint32_t I = 0; I != N; ++I) {
-          if (!Alive[I])
-            continue;
-          if (S1 == UINT32_MAX || Clusters[I].Size < Clusters[S1].Size) {
-            S2 = S1;
-            S1 = I;
-          } else if (S2 == UINT32_MAX ||
-                     Clusters[I].Size < Clusters[S2].Size) {
-            S2 = I;
-          }
-        }
-        A = S1;
-        B = S2;
-      }
+      } while (!Alive[Top.A] || !Alive[Top.B] ||
+               Top.TieBreakSize != Size[Top.A] + Size[Top.B]);
+      const std::uint32_t A = Top.A, B = Top.B;
       Clusters[A].absorb(std::move(Clusters[B]));
-      for (std::uint32_t I = 0; I != N; ++I) {
-        DotM[static_cast<std::size_t>(A) * N + I] +=
-            DotM[static_cast<std::size_t>(B) * N + I];
-        DotM[static_cast<std::size_t>(I) * N + A] =
-            DotM[static_cast<std::size_t>(A) * N + I];
-      }
+      Size[A] += Size[B];
       Alive[B] = false;
-      ++Version[A];
       --AliveCount;
       ++NumMerges;
-      for (std::uint32_t I = 0; I != N; ++I)
-        if (Alive[I] && I != A)
-          push(std::min(I, A), std::max(I, A));
+      // Fold row B into row A, mirror it into column A and push the
+      // survivor's new pairs in ascending I. Dead rows and columns are
+      // never read again: only alive pairs are pushed and only an alive
+      // row is ever folded.
+      std::uint64_t *RowA = &DotM[static_cast<std::size_t>(A) * N];
+      const std::uint64_t *RowB = &DotM[static_cast<std::size_t>(B) * N];
+      for (std::uint32_t I = 0; I != N; ++I) {
+        if (!Alive[I])
+          continue;
+        RowA[I] += RowB[I];
+        DotM[static_cast<std::size_t>(I) * N + A] = RowA[I];
+        if (I != A)
+          Heap.push({RowA[I], Size[A] + Size[I],
+                     static_cast<std::uint16_t>(std::min(I, A)),
+                     static_cast<std::uint16_t>(std::max(I, A))});
+      }
     }
 
     std::vector<Cluster> Out;
@@ -593,6 +563,16 @@ ClusteringResult cta::clusterForTopology(std::vector<IterationGroup> Groups,
     reportFatalError("clusterForTopology needs a finalized topology");
   if (BalanceThreshold < 0.0)
     reportFatalError("balance threshold must be non-negative");
+  // mergeDown stamps heap entries with 32-bit cluster sizes, which is
+  // sound only if every absorb strictly grows the survivor.
+  std::uint64_t Total = 0;
+  for (const IterationGroup &G : Groups) {
+    if (G.Iterations.empty())
+      reportFatalError("clusterForTopology needs nonempty iteration groups");
+    Total += G.size();
+  }
+  if (Total > UINT32_MAX)
+    reportFatalError("clusterForTopology needs at most 2^32-1 iterations");
 
   ClusteringResult Result;
   Result.CoreGroups.resize(Topo.numCores());

@@ -101,9 +101,13 @@ public:
   bool operator!=(const BlockSet &RHS) const { return !(*this == RHS); }
 
   /// FNV-1a hash for tag-keyed hash maps.
-  std::uint64_t hash() const {
+  std::uint64_t hash() const { return hashOf(Ids); }
+
+  /// hash() of the tag with ids \p Sorted (sorted and unique), without
+  /// building it.
+  static std::uint64_t hashOf(const std::vector<std::uint32_t> &Sorted) {
     std::uint64_t H = 1469598103934665603ull;
-    for (std::uint32_t Id : Ids) {
+    for (std::uint32_t Id : Sorted) {
       H ^= Id;
       H *= 1099511628211ull;
     }

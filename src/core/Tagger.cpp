@@ -6,7 +6,7 @@
 #include "support/ErrorHandling.h"
 #include "support/Random.h"
 
-#include <unordered_map>
+#include <algorithm>
 
 using namespace cta;
 
@@ -16,9 +16,55 @@ obs::Counter NumIterationsTagged("tagger.iterations");
 obs::Counter NumGroupsFormed("tagger.groups");
 obs::Counter NumGroupsCoarsened("tagger.groups-coarsened-away");
 
-struct TagKey {
-  std::uint64_t Hash;
-  std::uint32_t FirstGroupWithHash; // chain through Groups for collisions
+/// Open-addressing map from a tag's hash to the id of the first group
+/// with that hash; collisions probe linearly and are resolved by comparing
+/// the full tags. Kept at most half full.
+class TagTable {
+  struct Slot {
+    std::uint64_t Hash;
+    std::uint32_t Group; // UINT32_MAX: empty
+  };
+  std::vector<Slot> Slots;
+  std::size_t Used = 0;
+
+  std::size_t home(std::uint64_t H) const {
+    return static_cast<std::size_t>(H ^ (H >> 32)) & (Slots.size() - 1);
+  }
+
+  void place(const Slot &S) {
+    std::size_t I = home(S.Hash);
+    while (Slots[I].Group != UINT32_MAX)
+      I = (I + 1) & (Slots.size() - 1);
+    Slots[I] = S;
+  }
+
+public:
+  TagTable() : Slots(1024, Slot{0, UINT32_MAX}) {}
+
+  /// Returns the group whose tag has ids \p Sorted and hash \p H, or
+  /// UINT32_MAX.
+  std::uint32_t find(std::uint64_t H, const std::vector<std::uint32_t> &Sorted,
+                     const std::vector<IterationGroup> &Groups) const {
+    for (std::size_t I = home(H);; I = (I + 1) & (Slots.size() - 1)) {
+      const Slot &S = Slots[I];
+      if (S.Group == UINT32_MAX)
+        return UINT32_MAX;
+      if (S.Hash == H && Groups[S.Group].Tag.ids() == Sorted)
+        return S.Group;
+    }
+  }
+
+  void insert(std::uint64_t H, std::uint32_t Group) {
+    if (2 * (Used + 1) > Slots.size()) {
+      std::vector<Slot> Old(2 * Slots.size(), Slot{0, UINT32_MAX});
+      Old.swap(Slots);
+      for (const Slot &S : Old)
+        if (S.Group != UINT32_MAX)
+          place(S);
+    }
+    place({H, Group});
+    ++Used;
+  }
 };
 
 } // namespace
@@ -32,9 +78,7 @@ TaggingResult cta::buildIterationGroups(const LoopNest &Nest,
   const IterationTable &Table = Result.Iterations;
   const unsigned Depth = Table.depth();
 
-  // Map tag hash -> candidate group indices (collision chains are resolved
-  // by full tag comparison).
-  std::unordered_multimap<std::uint64_t, std::uint32_t> TagToGroup;
+  TagTable TagToGroup;
   std::vector<IterationGroup> &Groups = Result.Groups;
 
   std::vector<std::int64_t> Point(Depth);
@@ -52,20 +96,18 @@ TaggingResult cta::buildIterationGroups(const LoopNest &Nest,
         reportFatalError("array access out of bounds while tagging");
       Touched.push_back(Blocks.blockOf(Acc.ArrayId, A.linearize(Idx.data())));
     }
-    BlockSet Tag = BlockSet::fromUnsorted(Touched);
+    // Touched becomes the tag's sorted id list; a BlockSet is built only
+    // for a tag not seen before.
+    std::sort(Touched.begin(), Touched.end());
+    Touched.erase(std::unique(Touched.begin(), Touched.end()), Touched.end());
 
-    std::uint64_t H = Tag.hash();
-    std::uint32_t GroupId = UINT32_MAX;
-    auto [It, End] = TagToGroup.equal_range(H);
-    for (; It != End; ++It)
-      if (Groups[It->second].Tag == Tag) {
-        GroupId = It->second;
-        break;
-      }
+    std::uint64_t H = BlockSet::hashOf(Touched);
+    std::uint32_t GroupId = TagToGroup.find(H, Touched, Groups);
     if (GroupId == UINT32_MAX) {
       GroupId = Groups.size();
-      Groups.emplace_back(std::move(Tag), std::vector<std::uint32_t>{});
-      TagToGroup.emplace(H, GroupId);
+      Groups.emplace_back(BlockSet::fromSorted(Touched),
+                          std::vector<std::uint32_t>{});
+      TagToGroup.insert(H, GroupId);
     }
     Groups[GroupId].Iterations.push_back(Iter);
   }
@@ -87,10 +129,38 @@ double cta::adjacentAffinityFraction(
   if (N <= Window + 1)
     return 1.0;
 
-  double LocalMass = 0.0;
-  for (std::size_t I = 0; I != N; ++I)
-    for (std::size_t J = I + 1; J <= I + Window && J < N; ++J)
-      LocalMass += Groups[I].Tag.dot(Groups[J].Tag);
+  // Local mass: the dot products of all pairs at most Window apart, i.e.
+  // for every block, the pairs of groups holding it that lie within
+  // Window. An inverted block -> group index (CSR, each list ascending)
+  // counts them with two pointers in O(sum of tag sizes). The count is an
+  // integer, so it equals the pairwise sum of dots exactly.
+  std::uint32_t NumBlockIds = 0;
+  for (const IterationGroup &G : Groups)
+    if (!G.Tag.empty())
+      NumBlockIds = std::max(NumBlockIds, G.Tag.ids().back() + 1);
+  std::vector<std::size_t> Start(NumBlockIds + 1, 0);
+  for (const IterationGroup &G : Groups)
+    for (std::uint32_t B : G.Tag.ids())
+      ++Start[B + 1];
+  for (std::uint32_t B = 0; B != NumBlockIds; ++B)
+    Start[B + 1] += Start[B];
+  std::vector<std::uint32_t> Occ(Start[NumBlockIds]);
+  {
+    std::vector<std::size_t> Fill(Start.begin(), Start.end() - 1);
+    for (std::uint32_t G = 0; G != N; ++G)
+      for (std::uint32_t B : Groups[G].Tag.ids())
+        Occ[Fill[B]++] = G;
+  }
+  std::uint64_t LocalCount = 0;
+  for (std::uint32_t B = 0; B != NumBlockIds; ++B) {
+    std::size_t Lo = Start[B];
+    for (std::size_t Hi = Start[B]; Hi != Start[B + 1]; ++Hi) {
+      while (Occ[Hi] - Occ[Lo] > Window)
+        ++Lo;
+      LocalCount += Hi - Lo;
+    }
+  }
+  double LocalMass = static_cast<double>(LocalCount);
 
   // Deterministic sample of non-local pairs, extrapolated to the whole
   // pair space.

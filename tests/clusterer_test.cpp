@@ -1,11 +1,15 @@
 //===- tests/clusterer_test.cpp - Figure 6 clusterer tests ----------------===//
 
 #include "core/HierarchicalClusterer.h"
+#include "core/MergeHeap.h"
 #include "core/Tagger.h"
+#include "support/Random.h"
 #include "topo/Presets.h"
 #include "workloads/Generators.h"
 
 #include <gtest/gtest.h>
+
+#include <queue>
 
 using namespace cta;
 
@@ -28,7 +32,114 @@ std::vector<std::uint64_t> coreSizes(const ClusteringResult &R) {
   return Sizes;
 }
 
+/// FNV-1a over the per-core group lists and the split records.
+std::uint64_t hashPlacement(const ClusteringResult &R) {
+  std::uint64_t H = 1469598103934665603ull;
+  auto Mix = [&](std::uint64_t V) {
+    H ^= V;
+    H *= 1099511628211ull;
+  };
+  for (const std::vector<std::uint32_t> &CG : R.CoreGroups) {
+    Mix(CG.size());
+    for (std::uint32_t G : CG)
+      Mix(G);
+  }
+  Mix(R.Splits.size());
+  for (auto [Parent, Child] : R.Splits) {
+    Mix(Parent);
+    Mix(Child);
+  }
+  return H;
+}
+
+/// \p N groups of \p Iters iterations each. With \p SharedBlock every
+/// tag holds that block plus a private one, so all pairwise dots are 1;
+/// without it the tags are disjoint and all dots are 0.
+std::vector<IterationGroup> tiedGroups(unsigned N, unsigned Iters,
+                                       bool SharedBlock) {
+  std::vector<IterationGroup> Groups;
+  std::uint32_t Iter = 0;
+  for (unsigned I = 0; I != N; ++I) {
+    std::vector<std::uint32_t> Members;
+    for (unsigned K = 0; K != Iters; ++K)
+      Members.push_back(Iter++);
+    std::vector<std::uint32_t> Ids = {I + 1};
+    if (SharedBlock)
+      Ids.push_back(0);
+    Groups.emplace_back(BlockSet::fromUnsorted(Ids), std::move(Members));
+  }
+  return Groups;
+}
+
 } // namespace
+
+TEST(MergeHeap, PopOrderMatchesPriorityQueue) {
+  // Mostly tied keys leave the pop order to the heap layout; MergeHeap
+  // must reproduce std::priority_queue's layout step for step.
+  SplitMix64 Rng(0x6d657267);
+  for (unsigned Seq = 0; Seq != 10000; ++Seq) {
+    MergeHeap Heap;
+    std::priority_queue<MergeCandidate> Ref;
+    const unsigned Ops = 1 + Rng.nextBelow(300);
+    const std::uint64_t PushPercent = 40 + Rng.nextBelow(50);
+    std::uint16_t NextId = 0;
+    for (unsigned Op = 0; Op != Ops; ++Op) {
+      if (Ref.empty() || Rng.nextBelow(100) < PushPercent) {
+        MergeCandidate C{Rng.nextBelow(3),
+                         static_cast<std::uint32_t>(2 + 2 * Rng.nextBelow(3)),
+                         NextId, static_cast<std::uint16_t>(NextId + 1)};
+        ++NextId;
+        Heap.push(C);
+        Ref.push(C);
+        continue;
+      }
+      ASSERT_EQ(Heap.size(), Ref.size());
+      ASSERT_EQ(Heap.top().A, Ref.top().A) << "sequence " << Seq;
+      ASSERT_EQ(Heap.top().B, Ref.top().B) << "sequence " << Seq;
+      Heap.pop();
+      Ref.pop();
+    }
+    while (!Ref.empty()) {
+      ASSERT_FALSE(Heap.empty());
+      ASSERT_EQ(Heap.top().A, Ref.top().A) << "sequence " << Seq;
+      ASSERT_EQ(Heap.top().B, Ref.top().B) << "sequence " << Seq;
+      Heap.pop();
+      Ref.pop();
+    }
+    EXPECT_TRUE(Heap.empty());
+  }
+}
+
+TEST(Clusterer, TieOrderGolden) {
+  // Equal sizes and all-equal dots: every merge choice is a full tie
+  // broken by the heap layout, so these hashes pin the merge order.
+  struct Case {
+    const char *Preset;
+    bool SharedBlock;
+    std::uint64_t Hash;
+  };
+  const Case Cases[] = {
+      {"harpertown", false, 0xe86b640847f7c58dull},
+      {"harpertown", true, 0x143a746013cb60a1ull},
+      {"dunnington", false, 0xe8c911abfa887d1full},
+      {"dunnington", true, 0x85b22d30eb182e79ull},
+  };
+  for (const Case &C : Cases) {
+    CacheTopology Topo = makePresetByName(C.Preset);
+    ClusteringResult R =
+        clusterForTopology(tiedGroups(96, 8, C.SharedBlock), Topo, 0.10);
+    EXPECT_EQ(hashPlacement(R), C.Hash)
+        << C.Preset << (C.SharedBlock ? " shared" : " disjoint");
+  }
+}
+
+TEST(ClustererDeathTest, RejectsEmptyGroups) {
+  std::vector<IterationGroup> Groups = tiedGroups(4, 2, true);
+  Groups[2].Iterations.clear();
+  CacheTopology Topo = makeHarpertown();
+  EXPECT_DEATH(clusterForTopology(std::move(Groups), Topo, 0.10),
+               "nonempty iteration groups");
+}
 
 TEST(Clusterer, AssignsEveryGroupExactlyOnce) {
   Program P = makeStencil2D("s", 64, 1);

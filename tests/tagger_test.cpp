@@ -1,7 +1,10 @@
 //===- tests/tagger_test.cpp - Tagging and group formation tests ----------===//
 
 #include "core/Tagger.h"
+#include "support/Random.h"
+#include "topo/Presets.h"
 #include "workloads/Generators.h"
+#include "workloads/Suite.h"
 
 #include <gtest/gtest.h>
 
@@ -14,6 +17,59 @@ namespace {
 TaggingResult tagWorkload(const Program &P, std::uint64_t BlockSize) {
   DataBlockModel Blocks(P.Arrays, BlockSize);
   return buildIterationGroups(P.Nests[0], P.Arrays, Blocks);
+}
+
+/// adjacentAffinityFraction as first written: the local mass summed as
+/// one tag dot per pair within the window. The inverted-index version
+/// must return bit-identical doubles.
+double referenceAffinityFraction(const std::vector<IterationGroup> &Groups) {
+  const std::size_t N = Groups.size();
+  const std::size_t Window =
+      std::min<std::size_t>(512, std::max<std::size_t>(32, N / 256));
+  if (N <= Window + 1)
+    return 1.0;
+
+  double LocalMass = 0.0;
+  for (std::size_t I = 0; I != N; ++I)
+    for (std::size_t J = I + 1; J <= I + Window && J < N; ++J)
+      LocalMass += Groups[I].Tag.dot(Groups[J].Tag);
+
+  SplitMix64 Rng(0xc0a45e);
+  const std::size_t Samples = 4 * N;
+  double SampleMass = 0.0;
+  std::size_t Taken = 0;
+  for (std::size_t S = 0; S != Samples; ++S) {
+    std::size_t A = static_cast<std::size_t>(Rng.nextBelow(N));
+    std::size_t B = static_cast<std::size_t>(Rng.nextBelow(N));
+    std::size_t Dist = A > B ? A - B : B - A;
+    if (Dist <= Window)
+      continue;
+    ++Taken;
+    SampleMass += Groups[A].Tag.dot(Groups[B].Tag);
+  }
+  if (Taken == 0)
+    return 1.0;
+  double TotalPairs = 0.5 * static_cast<double>(N) * (N - 1);
+  double LocalPairs =
+      static_cast<double>(N) * Window - 0.5 * Window * (Window + 1);
+  double NonLocalEstimate =
+      SampleMass * (TotalPairs - LocalPairs) / static_cast<double>(Taken);
+  double Total = LocalMass + NonLocalEstimate;
+  return Total <= 0.0 ? 1.0 : LocalMass / Total;
+}
+
+/// \p N groups with 0-4 block ids each, drawn near the group's position
+/// (chain-like sharing) or anywhere in a small id space (scattered).
+std::vector<IterationGroup> randomGroups(std::size_t N, SplitMix64 &Rng) {
+  std::vector<IterationGroup> Groups(N);
+  for (std::size_t G = 0; G != N; ++G) {
+    std::vector<std::uint32_t> Ids;
+    for (std::uint64_t K = Rng.nextBelow(5); K != 0; --K)
+      Ids.push_back(static_cast<std::uint32_t>(
+          Rng.nextBelow(2) ? G / 8 + Rng.nextBelow(4) : Rng.nextBelow(4096)));
+    Groups[G].Tag = BlockSet::fromUnsorted(std::move(Ids));
+  }
+  return Groups;
 }
 
 } // namespace
@@ -138,6 +194,39 @@ TEST(AffinityFraction, ChainVsScatter) {
 TEST(AffinityFraction, TinyInputsAreChainLike) {
   std::vector<IterationGroup> Two(2);
   EXPECT_EQ(adjacentAffinityFraction(Two), 1.0);
+}
+
+TEST(AffinityFraction, MatchesPairwiseReferenceOnSuite) {
+  // Every Table 2 nest, tagged as the Figure 13 grid tags it (block size
+  // selected against each 1/32-scale machine's L1).
+  std::set<std::uint64_t> L1Capacities;
+  for (const char *M : {"harpertown", "nehalem", "dunnington"})
+    L1Capacities.insert(
+        makePresetByName(M).scaledCapacity(1.0 / 32).levelCapacity(1));
+  for (const std::string &Name : workloadNames()) {
+    Program P = makeWorkload(Name);
+    for (std::uint64_t L1 : L1Capacities)
+      for (const LoopNest &Nest : P.Nests) {
+        DataBlockModel Blocks(P.Arrays, selectBlockSize(Nest, P.Arrays, L1));
+        TaggingResult R = buildIterationGroups(Nest, P.Arrays, Blocks);
+        EXPECT_EQ(adjacentAffinityFraction(R.Groups),
+                  referenceAffinityFraction(R.Groups))
+            << Name << " with L1 " << L1;
+      }
+  }
+}
+
+TEST(AffinityFraction, MatchesPairwiseReferenceOnRandomGroups) {
+  // Sizes around the early return (N <= Window + 1), inside the 32 clamp,
+  // between the clamps and beyond the 512 clamp (N >= 512 * 256).
+  SplitMix64 Rng(0xaff1);
+  for (std::size_t N : {0, 1, 2, 33, 34, 35, 100, 1000, 8191, 8192, 20000,
+                        131072, 140000}) {
+    std::vector<IterationGroup> Groups = randomGroups(N, Rng);
+    EXPECT_EQ(adjacentAffinityFraction(Groups),
+              referenceAffinityFraction(Groups))
+        << "N = " << N;
+  }
 }
 
 // Invariant sweep over block sizes: the partition property holds for all.
