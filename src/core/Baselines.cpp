@@ -5,9 +5,27 @@
 #include "support/ErrorHandling.h"
 
 #include <algorithm>
+#include <climits>
 #include <cmath>
+#include <numeric>
 
 using namespace cta;
+
+/// The Base+ order: tile tuple (truncating division by the extents) first,
+/// then iteration id within a tile.
+static bool tileLess(const IterationTable &Table,
+                     const std::vector<std::uint32_t> &Tile, std::uint32_t A,
+                     std::uint32_t B) {
+  const std::int32_t *PA = Table.raw(A);
+  const std::int32_t *PB = Table.raw(B);
+  for (unsigned D = 0, E = Tile.size(); D != E; ++D) {
+    std::int32_t TA = PA[D] / static_cast<std::int32_t>(Tile[D]);
+    std::int32_t TB = PB[D] / static_cast<std::int32_t>(Tile[D]);
+    if (TA != TB)
+      return TA < TB;
+  }
+  return A < B;
+}
 
 Mapping cta::mapBase(const IterationTable &Table, unsigned NumCores) {
   if (NumCores == 0)
@@ -16,9 +34,17 @@ Mapping cta::mapBase(const IterationTable &Table, unsigned NumCores) {
   Map.StrategyName = "Base";
   Map.NumCores = NumCores;
   Map.CoreIterations.resize(NumCores);
+  // The contiguous ranges baseOwner() assigns: the first N % NumCores
+  // cores take one iteration more.
   const std::uint32_t N = Table.size();
-  for (std::uint32_t It = 0; It != N; ++It)
-    Map.CoreIterations[baseOwner(It, N, NumCores)].push_back(It);
+  const std::uint32_t Chunk = N / NumCores, Rem = N % NumCores;
+  std::uint32_t Begin = 0;
+  for (unsigned C = 0; C != NumCores; ++C) {
+    std::vector<std::uint32_t> &Iters = Map.CoreIterations[C];
+    Iters.resize(Chunk + (C < Rem ? 1 : 0));
+    std::iota(Iters.begin(), Iters.end(), Begin);
+    Begin += Iters.size();
+  }
   return Map;
 }
 
@@ -56,24 +82,68 @@ Mapping cta::mapBasePlus(const LoopNest &Nest,
   const unsigned Depth = Table.depth();
   if (Tile.size() != Depth)
     reportFatalError("tile extents must match the nest depth");
+  for (std::uint32_t E : Tile)
+    if (E == 0 || E > INT32_MAX)
+      reportFatalError("tile extents must lie in [1, 2^31)");
 
   // Reorder each chunk by tile coordinates, then lexicographically within a
   // tile: a blocked execution of the original chunk.
+  std::vector<std::uint32_t> Rank, Count;
   for (auto &Chunk : Map.CoreIterations) {
-    std::stable_sort(Chunk.begin(), Chunk.end(),
-                     [&](std::uint32_t A, std::uint32_t B) {
-                       const std::int32_t *PA = Table.raw(A);
-                       const std::int32_t *PB = Table.raw(B);
-                       for (unsigned D = 0; D != Depth; ++D) {
-                         std::int32_t TA = PA[D] / static_cast<std::int32_t>(
-                                                       Tile[D]);
-                         std::int32_t TB = PB[D] / static_cast<std::int32_t>(
-                                                       Tile[D]);
-                         if (TA != TB)
-                           return TA < TB;
-                       }
-                       return A < B; // lexicographic within the tile
-                     });
+    const std::size_t M = Chunk.size();
+    if (M < 2)
+      continue;
+    // Base chunks are contiguous id ranges: Chunk[I] == First + I.
+    const std::uint32_t First = Chunk.front();
+    // Rank each iteration by its tile tuple read as a mixed-radix number
+    // over the chunk's per-dimension tile ranges (dimension 0 most
+    // significant), so rank order is the comparator's tuple order. A grid
+    // much larger than the chunk would make the counting sort cost more
+    // than the comparison sort it replaces; ranks must fit 32 bits.
+    const std::uint64_t MaxCells =
+        std::min<std::uint64_t>(4 * std::uint64_t(M) + 1024, UINT32_MAX);
+    std::uint64_t Cells = 1;
+    Rank.assign(M, 0);
+    for (unsigned D = 0; D != Depth; ++D) {
+      const auto Extent = static_cast<std::int32_t>(Tile[D]);
+      std::int32_t Lo = INT32_MAX, Hi = INT32_MIN;
+      for (std::uint32_t I = 0; I != M; ++I) {
+        Lo = std::min(Lo, Table.raw(First + I)[D]);
+        Hi = std::max(Hi, Table.raw(First + I)[D]);
+      }
+      // Truncating division is monotone, so the tile range follows from
+      // the coordinate range.
+      const std::int32_t TileLo = Lo / Extent;
+      const std::uint64_t Range =
+          std::uint64_t(std::int64_t(Hi / Extent) - TileLo) + 1;
+      if (Range > MaxCells / Cells) {
+        Cells = MaxCells + 1;
+        break;
+      }
+      Cells *= Range;
+      for (std::uint32_t I = 0; I != M; ++I)
+        Rank[I] = Rank[I] * static_cast<std::uint32_t>(Range) +
+                  (static_cast<std::uint32_t>(Table.raw(First + I)[D] /
+                                              Extent) -
+                   static_cast<std::uint32_t>(TileLo));
+    }
+    if (Cells > MaxCells) {
+      std::stable_sort(Chunk.begin(), Chunk.end(),
+                       [&](std::uint32_t A, std::uint32_t B) {
+                         return tileLess(Table, Tile, A, B);
+                       });
+      continue;
+    }
+    // Stable counting sort by rank, written back in place. Chunks are
+    // id-ascending, so equal tiles keep ascending ids, the comparator's
+    // tie order.
+    Count.assign(Cells + 1, 0);
+    for (std::uint32_t I = 0; I != M; ++I)
+      ++Count[Rank[I] + 1];
+    for (std::uint64_t C = 1; C != Cells; ++C)
+      Count[C] += Count[C - 1];
+    for (std::uint32_t I = 0; I != M; ++I)
+      Chunk[Count[Rank[I]]++] = First + I;
   }
   return Map;
 }

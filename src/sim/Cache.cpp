@@ -16,39 +16,8 @@ Cache::Cache(const CacheParams &Params) : Params(Params) {
   if (SetMask == 0)
     FastModM = UINT64_MAX / NumSets + 1;
   std::size_t Total = static_cast<std::size_t>(NumSets) * Params.Assoc;
-  Tags.assign(Total, 0);
+  Tags.assign(Total, InvalidTag);
   Stamps.assign(Total, 0);
-}
-
-bool Cache::probeTraced(std::uint64_t LineAddr, bool &Evicted,
-                        std::uint64_t &VictimTag) {
-  ++StatLookups;
-  const std::size_t Base = setOf(LineAddr) * Params.Assoc;
-  std::uint64_t *T = &Tags[Base];
-  std::uint64_t *S = &Stamps[Base];
-  const unsigned Assoc = Params.Assoc;
-
-  unsigned Match = Assoc;
-  for (unsigned W = 0; W != Assoc; ++W)
-    if (T[W] == LineAddr && S[W] != 0)
-      Match = W;
-  if (Match != Assoc) {
-    S[Match] = ++Tick;
-    ++StatHits;
-    Evicted = false;
-    return true;
-  }
-
-  unsigned Victim = 0;
-  for (unsigned W = 1; W != Assoc; ++W)
-    if (S[W] < S[Victim])
-      Victim = W;
-  StatEvictions += S[Victim] != 0;
-  Evicted = S[Victim] != 0;
-  VictimTag = T[Victim];
-  T[Victim] = LineAddr;
-  S[Victim] = ++Tick;
-  return false;
 }
 
 bool Cache::access(std::uint64_t LineAddr) {
@@ -125,7 +94,7 @@ void Cache::fillTraced(std::uint64_t LineAddr, bool &Evicted,
 }
 
 void Cache::flush() {
-  std::fill(Tags.begin(), Tags.end(), 0);
+  std::fill(Tags.begin(), Tags.end(), InvalidTag);
   std::fill(Stamps.begin(), Stamps.end(), 0);
   Tick = 0;
 }

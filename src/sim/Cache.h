@@ -13,11 +13,18 @@
 ///
 /// Storage is struct-of-arrays: one tag array and one LRU-stamp array,
 /// set-major. A line is valid iff its stamp is nonzero (the tick counter
-/// pre-increments, so live stamps are always >= 1), which removes the
-/// per-line Valid flag, packs a set's tags contiguously, and lets the tag
-/// scan vectorize: tags are unique within a set, so the match loop needs
-/// no early exit and compiles to straight-line SIMD compares for the
-/// common associativities.
+/// pre-increments, so live stamps are always >= 1), and an invalid way
+/// also carries the tag InvalidTag, which no line address reaches
+/// (AddressMap keeps every layout below 2^62 bytes). probe()'s hit scan
+/// therefore compares tags only and loads no stamps; tags are unique
+/// within a set, so the match loop needs no early exit and compiles to
+/// straight-line SIMD compares for the common associativities. On a miss
+/// the victim is found in two steps: a branch-free minimum over the
+/// stamps, then the first way holding it (invalid ways hold 0, so the
+/// first invalid way wins, else the least recently used line).
+///
+/// access(), fill() and contains() keep their own stamp-checked scans:
+/// they are the reference the fast path is tested against.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,6 +33,7 @@
 
 #include "topo/Topology.h"
 
+#include <cassert>
 #include <cstdint>
 #include <vector>
 
@@ -37,7 +45,8 @@ class Cache {
   unsigned NumSets = 1;
   std::uint64_t SetMask = 0;   // NumSets - 1 when a power of two, else 0
   std::uint64_t FastModM = 0;  // Lemire fastmod constant for non-pow2 sets
-  std::vector<std::uint64_t> Tags;   // NumSets * Assoc, set-major
+  std::vector<std::uint64_t> Tags;   // NumSets * Assoc, set-major;
+                                     // InvalidTag in invalid ways
   std::vector<std::uint64_t> Stamps; // LRU stamps; 0 means invalid
   std::uint64_t Tick = 0;
 
@@ -64,7 +73,49 @@ class Cache {
     return static_cast<std::size_t>(LineAddr % NumSets);
   }
 
+  template <bool ReportVictim>
+  bool probeImpl(std::uint64_t LineAddr, bool *Evicted,
+                 std::uint64_t *VictimTag) {
+    assert(LineAddr != InvalidTag && "line address is the invalid-way tag");
+    ++StatLookups;
+    const std::size_t Base = setOf(LineAddr) * Params.Assoc;
+    std::uint64_t *T = &Tags[Base];
+    std::uint64_t *S = &Stamps[Base];
+    const unsigned Assoc = Params.Assoc;
+
+    unsigned Match = Assoc;
+    for (unsigned W = 0; W != Assoc; ++W)
+      if (T[W] == LineAddr)
+        Match = W;
+    if (Match != Assoc) {
+      S[Match] = ++Tick;
+      ++StatHits;
+      if constexpr (ReportVictim)
+        *Evicted = false;
+      return true;
+    }
+
+    std::uint64_t Oldest = S[0];
+    for (unsigned W = 1; W != Assoc; ++W)
+      Oldest = S[W] < Oldest ? S[W] : Oldest;
+    unsigned Victim = 0;
+    while (S[Victim] != Oldest)
+      ++Victim;
+    StatEvictions += Oldest != 0;
+    if constexpr (ReportVictim) {
+      *Evicted = Oldest != 0;
+      *VictimTag = T[Victim];
+    }
+    T[Victim] = LineAddr;
+    S[Victim] = ++Tick;
+    return false;
+  }
+
 public:
+  /// Tag of an invalid way. Never a line address: AddressMap rejects any
+  /// layout reaching 2^62 bytes.
+  static constexpr std::uint64_t InvalidTag = ~std::uint64_t(0);
+
   explicit Cache(const CacheParams &Params);
 
   const CacheParams &params() const { return Params; }
@@ -75,49 +126,24 @@ public:
     return ByteAddr / Params.LineSize;
   }
 
-  /// The hot-path operation: one set scan that both detects a hit
+  /// The hot-path operation: detects a hit with a tag-only scan
   /// (refreshing the LRU stamp) and, on a miss, installs \p LineAddr over
   /// the set's LRU victim. Returns true on a hit. State-equivalent to
-  /// access() followed by fill() on a miss, at half the scans.
+  /// access() followed by fill() on a miss.
   bool probe(std::uint64_t LineAddr) {
-    ++StatLookups;
-    const std::size_t Base = setOf(LineAddr) * Params.Assoc;
-    std::uint64_t *T = &Tags[Base];
-    std::uint64_t *S = &Stamps[Base];
-    const unsigned Assoc = Params.Assoc;
-
-    unsigned Match = Assoc;
-    for (unsigned W = 0; W != Assoc; ++W)
-      if (T[W] == LineAddr && S[W] != 0)
-        Match = W;
-    if (Match != Assoc) {
-      S[Match] = ++Tick;
-      ++StatHits;
-      return true;
-    }
-
-    // Victim = way with the smallest stamp, earliest way on ties. Invalid
-    // ways carry stamp 0, so "first invalid way wins" falls out of the
-    // strict-< argmin.
-    unsigned Victim = 0;
-    for (unsigned W = 1; W != Assoc; ++W)
-      if (S[W] < S[Victim])
-        Victim = W;
-    StatEvictions += S[Victim] != 0;
-    T[Victim] = LineAddr;
-    S[Victim] = ++Tick;
-    return false;
+    return probeImpl</*ReportVictim=*/false>(LineAddr, nullptr, nullptr);
   }
 
   /// probe() with victim reporting for the tracing layer: identical state
-  /// and statistics transitions, but returns whether the miss replaced a
-  /// valid line and which tag it held. Out of line on purpose — the
-  /// untraced hot path above stays exactly as the optimizer sees it today.
+  /// and statistics transitions, but also returns whether the miss
+  /// replaced a valid line and which tag it held.
   bool probeTraced(std::uint64_t LineAddr, bool &Evicted,
-                   std::uint64_t &VictimTag);
+                   std::uint64_t &VictimTag) {
+    return probeImpl</*ReportVictim=*/true>(LineAddr, &Evicted, &VictimTag);
+  }
 
   /// Probes \p LineAddr; on a hit refreshes its LRU stamp and returns true.
-  /// With fill(), the reference two-scan path probe() collapses.
+  /// With fill(), the reference two-scan path probe() is tested against.
   bool access(std::uint64_t LineAddr);
 
   /// True if the line is resident (no LRU update; for tests/inspection).

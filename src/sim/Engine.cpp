@@ -101,7 +101,11 @@ AddressMap::AddressMap(const std::vector<ArrayDecl> &Arrays) {
     Base.push_back(Next);
     ElementSize.push_back(A.ElementSize);
     std::uint64_t Bytes = static_cast<std::uint64_t>(A.sizeInBytes());
+    if (Bytes >= AddressLimit)
+      reportFatalError("array layout reaches 2^62 bytes of address space");
     Next += (Bytes + PageSize - 1) / PageSize * PageSize;
+    if (Next >= AddressLimit)
+      reportFatalError("array layout reaches 2^62 bytes of address space");
   }
 }
 

@@ -27,7 +27,9 @@
 namespace cta {
 
 /// Row-major array placement in the simulated address space: arrays laid
-/// out back to back, page aligned.
+/// out back to back, page aligned. A layout ending at or above
+/// AddressLimit is a fatal error, so no line address reaches
+/// Cache::InvalidTag.
 class AddressMap {
   std::vector<std::uint64_t> Base;
   std::vector<unsigned> ElementSize;
@@ -35,6 +37,7 @@ class AddressMap {
 public:
   static constexpr std::uint64_t PageSize = 4096;
   static constexpr std::uint64_t FirstAddress = PageSize; // keep 0 unused
+  static constexpr std::uint64_t AddressLimit = std::uint64_t(1) << 62;
 
   explicit AddressMap(const std::vector<ArrayDecl> &Arrays);
 

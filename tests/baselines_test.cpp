@@ -5,8 +5,11 @@
 #include "core/Tagger.h"
 #include "topo/Presets.h"
 #include "workloads/Generators.h"
+#include "workloads/Suite.h"
 
 #include <gtest/gtest.h>
+
+#include <random>
 
 using namespace cta;
 
@@ -37,6 +40,11 @@ TEST(MapBase, PartitionInOriginalOrder) {
   EXPECT_LT(Map.imbalance(), 0.02);
   for (const auto &Iters : Map.CoreIterations)
     EXPECT_TRUE(std::is_sorted(Iters.begin(), Iters.end()));
+  // 576 iterations on 7 cores leave a remainder of 2.
+  Mapping Uneven = mapBase(T, 7);
+  for (unsigned C = 0; C != 7; ++C)
+    for (std::uint32_t It : Uneven.CoreIterations[C])
+      EXPECT_EQ(baseOwner(It, T.size(), 7), C);
 }
 
 TEST(PickTileSizes, ShrinksWithL1) {
@@ -77,6 +85,117 @@ TEST(MapBasePlus, TilingReordersWithinChunks) {
   const std::int32_t *First = T.raw(Plus.CoreIterations[0][0]);
   EXPECT_LT(First[0], 4 + 1);
   EXPECT_LT(First[1], 4 + 1);
+}
+
+namespace {
+
+/// The Base+ order as a comparator sort: each Base chunk stable-sorted by
+/// tile tuple (truncating division), then by iteration id.
+std::vector<std::vector<std::uint32_t>>
+referenceBasePlus(const IterationTable &T, unsigned NumCores,
+                  const std::vector<std::uint32_t> &Tile) {
+  Mapping Map = mapBase(T, NumCores);
+  for (auto &Chunk : Map.CoreIterations)
+    std::stable_sort(Chunk.begin(), Chunk.end(),
+                     [&](std::uint32_t A, std::uint32_t B) {
+                       const std::int32_t *PA = T.raw(A);
+                       const std::int32_t *PB = T.raw(B);
+                       for (unsigned D = 0; D != T.depth(); ++D) {
+                         std::int32_t TA =
+                             PA[D] / static_cast<std::int32_t>(Tile[D]);
+                         std::int32_t TB =
+                             PB[D] / static_cast<std::int32_t>(Tile[D]);
+                         if (TA != TB)
+                           return TA < TB;
+                       }
+                       return A < B;
+                     });
+  return Map.CoreIterations;
+}
+
+void expectReferenceOrder(const LoopNest &Nest,
+                          const std::vector<ArrayDecl> &Arrays,
+                          unsigned NumCores,
+                          const std::vector<std::uint32_t> &Tile) {
+  IterationTable T = Nest.enumerate();
+  Mapping Plus = mapBasePlus(Nest, Arrays, T, NumCores, 0, Tile);
+  EXPECT_EQ(Plus.CoreIterations, referenceBasePlus(T, NumCores, Tile))
+      << Nest.name() << " on " << NumCores << " cores";
+}
+
+/// A random nest of depth 1-3 whose lower bounds may be negative, so tile
+/// coordinates straddle 0 (truncating division puts -3/4 and 3/4 in one
+/// tile). Triangular nests bound the inner loops by outer variables.
+LoopNest randomNest(std::mt19937 &Rng, bool Triangular) {
+  const unsigned Depth = 1 + Rng() % 3;
+  LoopNest Nest(Triangular ? "tri" : "rect", Depth);
+  for (unsigned D = 0; D != Depth; ++D) {
+    const std::int64_t Lo = static_cast<std::int64_t>(Rng() % 21) - 12;
+    const std::int64_t Hi = Lo + 1 + Rng() % 18;
+    if (Triangular && D != 0)
+      Nest.addDim(LoopDim(Nest.iv(D - 1) + Lo, Nest.cst(Hi)));
+    else
+      Nest.addConstantDim(Lo, Hi);
+  }
+  return Nest;
+}
+
+} // namespace
+
+TEST(MapBasePlus, MatchesComparatorOnSuite) {
+  // The Figure 13 grid's nests, cores and L1 capacities.
+  std::vector<CacheTopology> Machines;
+  for (const char *Name : {"harpertown", "nehalem", "dunnington"})
+    Machines.push_back(makePresetByName(Name).scaledCapacity(1.0 / 32));
+  for (const std::string &Name : workloadNames()) {
+    Program P = makeWorkload(Name);
+    for (const LoopNest &Nest : P.Nests)
+      for (const CacheTopology &Topo : Machines)
+        expectReferenceOrder(
+            Nest, P.Arrays, Topo.numCores(),
+            pickTileSizes(Nest, P.Arrays, Topo.levelCapacity(1)));
+  }
+}
+
+TEST(MapBasePlus, MatchesComparatorOnRandomNests) {
+  std::mt19937 Rng(2010);
+  for (unsigned Trial = 0; Trial != 300; ++Trial) {
+    LoopNest Nest = randomNest(Rng, Trial % 2 == 1);
+    if (Nest.countIterations() == 0)
+      continue;
+    std::vector<std::uint32_t> Tile(Nest.depth());
+    for (std::uint32_t &E : Tile)
+      E = Trial % 5 == 0 ? 1 : 1 + Rng() % 6;
+    expectReferenceOrder(Nest, {}, 1 + Rng() % 5, Tile);
+  }
+}
+
+TEST(MapBasePlus, SparseGridTakesTheComparatorSort) {
+  // 200 iterations spread over 200 x 598 unit tiles, far more cells than
+  // the counting sort allows. Dimension 1 falls as the id rises, so the
+  // tiled order reverses the chunk.
+  LoopNest Sparse("sparse", 3);
+  Sparse.addConstantDim(0, 199);
+  Sparse.addDim(LoopDim(Sparse.cst(199) - Sparse.iv(0),
+                        Sparse.cst(199) - Sparse.iv(0)));
+  Sparse.addDim(LoopDim(Sparse.iv(0) * 3, Sparse.iv(0) * 3));
+  expectReferenceOrder(Sparse, {}, 1, {256, 1, 1});
+
+  // Three unit-tile dimensions each spanning 2e9: the cell count would
+  // overflow 64 bits.
+  LoopNest Wide("wide", 4);
+  Wide.addConstantDim(0, 1);
+  for (unsigned D = 1; D != 4; ++D)
+    Wide.addDim(LoopDim(Wide.cst(1000000000) - Wide.iv(0) * 2000000000,
+                        Wide.cst(1000000000) - Wide.iv(0) * 2000000000));
+  expectReferenceOrder(Wide, {}, 1, {2, 1, 1, 1});
+}
+
+TEST(MapBasePlusDeathTest, RejectsZeroTileExtent) {
+  Program P = makeStencil2D("s", 8, 1);
+  IterationTable T = P.Nests[0].enumerate();
+  EXPECT_DEATH(mapBasePlus(P.Nests[0], P.Arrays, T, 2, 512, {4, 0}),
+               "tile extents");
 }
 
 TEST(MapLocal, KeepsBaseDistribution) {

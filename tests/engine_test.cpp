@@ -33,6 +33,20 @@ TEST(AddressMap, ArraysArePageAlignedAndDisjoint) {
   EXPECT_NE(M.addrOf(0, 99), M.addrOf(1, 0));
 }
 
+TEST(AddressMapDeathTest, RejectsLayoutsReaching2To62Bytes) {
+  // 2^62 - 8192 bytes after the first page end the layout one page short
+  // of 2^62; one more page, or one more array, reaches it.
+  const std::int64_t Fits = ((std::int64_t(1) << 62) - 8192) / 8;
+  AddressMap Below({ArrayDecl("A", {Fits}, 8)});
+  EXPECT_EQ(Below.baseOf(0), AddressMap::FirstAddress);
+  EXPECT_DEATH(AddressMap({ArrayDecl("A", {Fits + 512}, 8)}), "2\\^62");
+  EXPECT_DEATH(AddressMap({ArrayDecl("A", {Fits / 2}, 8),
+                           ArrayDecl("B", {Fits / 2 + 1536}, 8)}),
+               "2\\^62");
+  EXPECT_DEATH(AddressMap({ArrayDecl("A", {std::int64_t(1) << 59}, 8)}),
+               "2\\^62");
+}
+
 TEST(Engine, SingleCoreCycleAccounting) {
   // One core, one iteration, one read: cycles = memLatency + compute.
   Program P;
