@@ -23,13 +23,17 @@
 #define CTA_BENCH_BENCHCOMMON_H
 
 #include "exec/ExperimentRunner.h"
+#include "obs/MetricSink.h"
 #include "support/StringUtils.h"
 #include "support/Table.h"
+#include "support/ThreadPool.h"
 #include "topo/Presets.h"
 #include "workloads/Suite.h"
 
 #include <cinttypes>
 #include <cstdio>
+#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -80,6 +84,28 @@ inline std::string timingCell(const ExecConfig &Config, std::string Cell) {
 inline void printExecSummary(const ExperimentRunner &Runner) {
   std::fprintf(stderr, "%s\n",
                obs::formatExecSummary(Runner.execSummary()).c_str());
+}
+
+/// parallelFor over [0, N) with each job under its own MetricSink, a
+/// child of the root sink. Afterwards every job's phases are appended to
+/// the root in index order, and its counters roll up into the root when
+/// the sinks die. The process-level phases of an --emit-json artifact
+/// are then the same for every --jobs value (under a shared sink, one
+/// job's phase would collect the counter bumps of whatever job ran
+/// beside it).
+inline void parallelForWithSinks(ThreadPool *Pool, std::size_t N,
+                                 const std::function<void(std::size_t)> &Fn) {
+  obs::MetricSink &Root = obs::MetricSink::root();
+  std::vector<std::unique_ptr<obs::MetricSink>> Sinks;
+  for (std::size_t I = 0; I != N; ++I)
+    Sinks.push_back(std::make_unique<obs::MetricSink>(&Root));
+  parallelFor(Pool, 0, N, [&](std::size_t I) {
+    obs::MetricScope Scope(*Sinks[I]);
+    Fn(I);
+  });
+  for (const std::unique_ptr<obs::MetricSink> &Sink : Sinks)
+    for (obs::PhaseRecord &Phase : Sink->phases())
+      Root.recordPhase(std::move(Phase));
 }
 
 /// Standard bench epilogue: the stderr execution summary plus the

@@ -37,7 +37,7 @@ int main(int argc, char **argv) {
 
   std::vector<double> BaseTimes(Apps.size()), AwareTimes(Apps.size());
   const unsigned Reps = 3;
-  parallelFor(Pool.get(), 0, Apps.size(), [&](std::size_t I) {
+  parallelForWithSinks(Pool.get(), Apps.size(), [&](std::size_t I) {
     Program Prog = makeWorkload(Apps[I]);
     // Repeat the cheap pass so its time is measurable.
     for (unsigned R = 0; R != Reps; ++R) {
@@ -71,8 +71,8 @@ int main(int argc, char **argv) {
 
   // No ExperimentRunner here, so the artifact carries process-level data
   // only: the pipeline counters and phase spans the mapping passes left in
-  // the root sink (pool workers run without a MetricScope, so their bumps
-  // land there too).
+  // the root sink (each app's job ran under its own sink, folded into the
+  // root in app order).
   if (!Config.EmitJsonPath.empty()) {
     obs::BenchArtifact Artifact;
     Artifact.Bench = Config.BenchName;

@@ -92,11 +92,11 @@ int main(int argc, char **argv) {
   // Part 2: optimal comparison on small instances (the paper's ILP took up
   // to 23 hours; the search is budgeted to a few thousand simulations).
   // Each app's search is an independent task: run them concurrently on
-  // the runner's pool via parallelFor (search iterations themselves are
-  // inherently sequential).
+  // the runner's pool, each under its own metric sink (search iterations
+  // themselves are inherently sequential).
   const std::vector<std::string> OptApps = {"galgel", "cg", "povray"};
   std::vector<double> Ours(OptApps.size()), Best(OptApps.size());
-  parallelFor(Runner.pool(), 0, OptApps.size(), [&](std::size_t I) {
+  parallelForWithSinks(Runner.pool(), OptApps.size(), [&](std::size_t I) {
     Program Prog = makeWorkload(OptApps[I], /*Scale=*/0.25);
     MappingOptions O = defaultOpts();
     O.MaxGroupsForClustering = 48;

@@ -34,13 +34,22 @@
 #include "topo/Topology.h"
 
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
 namespace cta {
 
+/// Bytes per host cache line. Simulator state that different engine
+/// threads write (caches, per-core and per-domain engine state) is
+/// aligned to it, so no two threads' writes share a line.
+inline constexpr std::size_t HostCacheLineBytes = 64;
+
 /// Set-associative cache with true-LRU replacement (timestamp based).
-class Cache {
+/// Line aligned: MachineSim stores its caches side by side and every
+/// probe writes Tick and the statistics, so without the alignment two
+/// epoch-engine threads probing neighbouring caches would share a line.
+class alignas(HostCacheLineBytes) Cache {
   CacheParams Params;
   unsigned NumSets = 1;
   std::uint64_t SetMask = 0;   // NumSets - 1 when a power of two, else 0

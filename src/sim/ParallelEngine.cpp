@@ -9,6 +9,7 @@
 #include "support/ThreadPool.h"
 
 #include <algorithm>
+#include <memory>
 #include <queue>
 
 using namespace cta;
@@ -82,10 +83,11 @@ public:
 
   /// Forward consumer over everything pushed so far.
   class Cursor {
-    const Chunk *C;
+    const Chunk *C = nullptr;
     std::uint32_t I = 0;
 
   public:
+    Cursor() = default;
     explicit Cursor(const Chunk *Head) : C(Head) {}
     const T &next() {
       while (I == C->Len) {
@@ -99,8 +101,9 @@ public:
   Cursor cursor() const { return Cursor(Head); }
 };
 
-/// Per-core phase-1 output plus phase-2 consumption state.
-struct CoreState {
+/// Per-core phase-1 output. Line aligned: phase-1 workers write their
+/// core's statistics and store tails on every access batch.
+struct alignas(HostCacheLineBytes) CoreState {
   Arena Storage;
   ChunkedStore<DeferredProbe> Probes{Storage};
   ChunkedStore<DeferredIter> Iters{Storage};
@@ -109,7 +112,56 @@ struct CoreState {
   SimStats Local;                           // private-prefix statistics
 };
 
+/// One core's phase-2 merge cursor. Line aligned and built in one
+/// core-indexed array before the merge: domain tasks advance their
+/// cores' cursors concurrently.
+struct alignas(HostCacheLineBytes) MergeCursor {
+  ChunkedStore<DeferredProbe>::Cursor Probes;
+  ChunkedStore<DeferredIter>::Cursor Iters;
+  DeferredIter Cur{};
+  std::uint32_t Left = 0;
+  std::uint64_t RelEnd = 0; // end cycle relative to the round start
+};
+
+/// One cache domain's phase-2 output: its shared-level statistics and,
+/// per round, its latest core end relative to the round start (span).
+/// Line aligned: each domain task writes its own.
+struct alignas(HostCacheLineBytes) DomainMerge {
+  SimStats Stats;
+  std::vector<std::uint64_t> Span;
+};
+
+static_assert(alignof(Cache) == HostCacheLineBytes &&
+                  alignof(CoreState) == HostCacheLineBytes &&
+                  alignof(MergeCursor) == HostCacheLineBytes &&
+                  alignof(DomainMerge) == HostCacheLineBytes,
+              "state written by different engine threads must not share "
+              "a host cache line");
+
 constexpr std::uint32_t DeferMark = UINT32_MAX;
+
+/// Cache domains: cores grouped by the top-level cache of their path, in
+/// order of each domain's first core. In a tree, cores that share any
+/// cache share the top-level one, so no cache is probed by two domains.
+/// A core without caches is a domain of its own.
+std::vector<std::vector<unsigned>> cacheDomains(const MachineSim &Machine,
+                                                unsigned NumCores) {
+  std::vector<std::vector<unsigned>> Domains;
+  std::vector<const Cache *> Top;
+  for (unsigned C = 0; C != NumCores; ++C) {
+    const std::vector<MachineSim::PathEntry> &Path = Machine.corePath(C);
+    const Cache *Root = Path.empty() ? nullptr : Path.back().C;
+    auto It = Root == nullptr ? Top.end()
+                              : std::find(Top.begin(), Top.end(), Root);
+    if (It != Top.end()) {
+      Domains[It - Top.begin()].push_back(C);
+    } else {
+      Top.push_back(Root);
+      Domains.push_back({C});
+    }
+  }
+  return Domains;
+}
 
 /// Phase 1 for one core: runs every round's iterations against the
 /// private prefix only, batching each iteration's access row level by
@@ -214,6 +266,73 @@ void runCorePhase1(MachineSim &Machine, const AccessTrace &Trace,
   }
 }
 
+/// Phase 2 for one cache domain: replays the deferred iterations of its
+/// \p Cores round by round through a (start cycle, core) min-heap with
+/// the sequential engine's exact tie semantics, so every shared cache of
+/// the domain sees the identical probe sequence. Clocks are relative to
+/// the round start; leaves each core's relative end of the last round in
+/// its cursor and each round's span in \p Merge.
+void runDomainPhase2(MachineSim &Machine, const std::vector<unsigned> &Cores,
+                     const std::vector<CoreState> &States, unsigned NumRounds,
+                     std::vector<MergeCursor> &Curs, DomainMerge &Merge) {
+  const unsigned MemLat = Machine.memoryLatency();
+  Merge.Span.assign(NumRounds, 0);
+
+  auto sharedWalk = [&](unsigned Core, std::uint64_t Addr) -> unsigned {
+    const std::vector<MachineSim::PathEntry> &Path = Machine.corePath(Core);
+    for (unsigned P = Machine.privatePrefixLen(Core); P != Path.size();
+         ++P) {
+      const MachineSim::PathEntry &E = Path[P];
+      ++Merge.Stats.Levels[E.Level].Lookups;
+      if (E.C->probe(E.lineOf(Addr))) {
+        ++Merge.Stats.Levels[E.Level].Hits;
+        return E.Latency;
+      }
+    }
+    ++Merge.Stats.MemoryAccesses;
+    return MemLat;
+  };
+
+  using HeapEntry = std::pair<std::uint64_t, unsigned>;
+  std::priority_queue<HeapEntry, std::vector<HeapEntry>,
+                      std::greater<HeapEntry>>
+      Heap;
+  for (unsigned Round = 0; Round != NumRounds; ++Round) {
+    for (unsigned C : Cores) {
+      MergeCursor &M = Curs[C];
+      M.Left = States[C].ItersPerRound[Round];
+      if (M.Left != 0) {
+        M.Cur = M.Iters.next();
+        Heap.push({M.Cur.PreDelta, C});
+      } else {
+        M.RelEnd = States[C].TailDelta[Round];
+      }
+    }
+
+    while (!Heap.empty()) {
+      auto [At, C] = Heap.top();
+      Heap.pop();
+      MergeCursor &M = Curs[C];
+      std::uint64_t Cur = At;
+      for (std::uint32_t P = 0; P != M.Cur.NumProbes; ++P) {
+        const DeferredProbe &Probe = M.Probes.next();
+        Cur += Probe.PreLat;
+        Cur += sharedWalk(C, Probe.Addr);
+      }
+      Cur += M.Cur.PostDelta;
+      if (--M.Left != 0) {
+        M.Cur = M.Iters.next();
+        Heap.push({Cur + M.Cur.PreDelta, C});
+      } else {
+        M.RelEnd = Cur + States[C].TailDelta[Round];
+      }
+    }
+
+    for (unsigned C : Cores)
+      Merge.Span[Round] = std::max(Merge.Span[Round], Curs[C].RelEnd);
+  }
+}
+
 } // namespace
 
 bool cta::epochParallelEligible(const MachineSim &Machine,
@@ -241,110 +360,58 @@ ExecutionResult cta::executeTraceEpochParallel(MachineSim &Machine,
 
   Machine.clearStats();
 
+  // One pool serves both phases: the lent one, or one owned for the call.
+  unsigned Threads = Exec.Threads == 0 ? ThreadPool::defaultThreadCount()
+                                       : Exec.Threads;
+  Threads = std::min(Threads, NumCores);
+  std::unique_ptr<ThreadPool> OwnedPool;
+  ThreadPool *Pool = nullptr;
+  if (Threads > 1) {
+    Pool = Exec.Pool;
+    if (Pool == nullptr) {
+      OwnedPool = std::make_unique<ThreadPool>(Threads);
+      Pool = OwnedPool.get();
+    }
+  }
+
   // Phase 1: private-prefix simulation, one task per core. Worker
   // statistics stay core-local (MetricSink attribution is thread local,
   // and the machine's aggregate counters must not race); they are folded
   // in core order below.
   std::vector<CoreState> States(NumCores);
-  unsigned Threads = Exec.Threads == 0 ? ThreadPool::defaultThreadCount()
-                                       : Exec.Threads;
-  Threads = std::min(Threads, NumCores);
-
-  auto runCore = [&](std::size_t C) {
+  parallelFor(Pool, 0, NumCores, [&](std::size_t C) {
     runCorePhase1(Machine, Trace, Map, static_cast<unsigned>(C), Barriers,
                   NumRounds, States[C]);
-  };
-  if (Threads <= 1) {
-    for (unsigned C = 0; C != NumCores; ++C)
-      runCore(C);
-  } else if (Exec.Pool != nullptr) {
-    parallelFor(Exec.Pool, 0, NumCores, runCore);
-  } else {
-    ThreadPool Pool(Threads);
-    parallelFor(&Pool, 0, NumCores, runCore);
+  });
+
+  // Phase 2: deterministic merge, one task per cache domain on
+  // round-relative clocks (invariant 4); the barriers fold in afterwards.
+  const std::vector<std::vector<unsigned>> Domains =
+      cacheDomains(Machine, NumCores);
+  std::vector<DomainMerge> Merges(Domains.size());
+  std::vector<MergeCursor> Curs(NumCores);
+  for (unsigned C = 0; C != NumCores; ++C) {
+    Curs[C].Probes = States[C].Probes.cursor();
+    Curs[C].Iters = States[C].Iters.cursor();
   }
+  parallelFor(Pool, 0, Domains.size(), [&](std::size_t D) {
+    runDomainPhase2(Machine, Domains[D], States, NumRounds, Curs, Merges[D]);
+  });
 
-  // Phase 2: deterministic merge. Replay deferred iterations through a
-  // (start cycle, core) min-heap with the sequential engine's exact tie
-  // semantics; every shared cache sees the identical probe sequence.
-  SimStats MergeStats;
-  std::vector<std::uint64_t> Cycle(NumCores, 0);
-  const unsigned MemLat = Machine.memoryLatency();
-
-  struct MergeCur {
-    ChunkedStore<DeferredProbe>::Cursor Probes;
-    ChunkedStore<DeferredIter>::Cursor Iters;
-    DeferredIter Cur{};
-    std::uint32_t Left = 0;
-  };
-  std::vector<MergeCur> Curs;
-  Curs.reserve(NumCores);
-  for (unsigned C = 0; C != NumCores; ++C)
-    Curs.push_back({States[C].Probes.cursor(), States[C].Iters.cursor()});
-
-  auto sharedWalk = [&](unsigned Core, std::uint64_t Addr) -> unsigned {
-    const std::vector<MachineSim::PathEntry> &Path = Machine.corePath(Core);
-    for (unsigned P = Machine.privatePrefixLen(Core); P != Path.size();
-         ++P) {
-      const MachineSim::PathEntry &E = Path[P];
-      ++MergeStats.Levels[E.Level].Lookups;
-      if (E.C->probe(E.lineOf(Addr))) {
-        ++MergeStats.Levels[E.Level].Hits;
-        return E.Latency;
-      }
-    }
-    ++MergeStats.MemoryAccesses;
-    return MemLat;
-  };
-
-  using HeapEntry = std::pair<std::uint64_t, unsigned>;
-  using MinHeap = std::priority_queue<HeapEntry, std::vector<HeapEntry>,
-                                      std::greater<HeapEntry>>;
-
+  // Barriers: every round but the last ends when its slowest domain does
+  // (matching the sequential engine, the last round leaves the clocks
+  // unaligned).
   std::uint64_t RoundStart = 0;
-  for (unsigned Round = 0; Round != NumRounds; ++Round) {
-    MinHeap Heap;
-    for (unsigned C = 0; C != NumCores; ++C) {
-      MergeCur &M = Curs[C];
-      M.Left = States[C].ItersPerRound[Round];
-      if (M.Left != 0) {
-        M.Cur = M.Iters.next();
-        Heap.push({RoundStart + M.Cur.PreDelta, C});
-      } else {
-        Cycle[C] = RoundStart + States[C].TailDelta[Round];
-      }
+  if (Barriers)
+    for (unsigned Round = 0; Round + 1 < NumRounds; ++Round) {
+      std::uint64_t Span = 0;
+      for (const DomainMerge &Merge : Merges)
+        Span = std::max(Span, Merge.Span[Round]);
+      RoundStart += Span;
     }
-
-    while (!Heap.empty()) {
-      auto [At, C] = Heap.top();
-      Heap.pop();
-      MergeCur &M = Curs[C];
-      std::uint64_t Cur = At;
-      for (std::uint32_t P = 0; P != M.Cur.NumProbes; ++P) {
-        const DeferredProbe &Probe = M.Probes.next();
-        Cur += Probe.PreLat;
-        Cur += sharedWalk(C, Probe.Addr);
-      }
-      Cur += M.Cur.PostDelta;
-      if (--M.Left != 0) {
-        M.Cur = M.Iters.next();
-        Heap.push({Cur + M.Cur.PreDelta, C});
-      } else {
-        Cycle[C] = Cur + States[C].TailDelta[Round];
-      }
-    }
-
-    // Barrier: everyone waits for the slowest participant (matching the
-    // sequential engine, the last round leaves the clocks unaligned).
-    if (Barriers && Round + 1 != NumRounds) {
-      std::uint64_t Max = 0;
-      for (unsigned C = 0; C != NumCores; ++C)
-        Max = std::max(Max, Cycle[C]);
-      for (unsigned C = 0; C != NumCores; ++C)
-        Cycle[C] = Max;
-      RoundStart = Max;
-    }
-  }
+  std::vector<std::uint64_t> Cycle(NumCores);
+  for (unsigned C = 0; C != NumCores; ++C)
+    Cycle[C] = RoundStart + Curs[C].RelEnd;
 
   // Fold statistics: per-core private counts in core order, then the
   // shared-level counts from the merge. Sums of per-access increments are
@@ -356,7 +423,8 @@ ExecutionResult cta::executeTraceEpochParallel(MachineSim &Machine,
     Probes += States[C].Probes.Count;
     Iters += States[C].Iters.Count;
   }
-  Machine.addStats(MergeStats);
+  for (const DomainMerge &Merge : Merges)
+    Machine.addStats(Merge.Stats);
 
   ++NumParallelRuns;
   NumArenaBytes += ArenaBytes;

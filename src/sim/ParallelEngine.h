@@ -34,6 +34,19 @@
 ///  3. Statistics are sums of per-access counts, so accumulating them
 ///     per-worker and folding in core order yields the same totals.
 ///
+///  4. Cores under different top-level caches share no cache state, so
+///     the merge splits into independent cache domains (cores grouped by
+///     the last cache of their path), one task each. Every round starts
+///     all cores at one barrier cycle and the heap's (cycle, core) order
+///     is unchanged when a constant is added to every cycle, so a domain
+///     replays all its rounds on round-relative clocks and records each
+///     round's span (its latest relative end). The barriers fold in
+///     afterwards: RoundStart[r+1] = RoundStart[r] + max over domains of
+///     span[r], and a core's final cycle is RoundStart[last] plus its
+///     relative end. State written by different threads (caches, per-core
+///     and per-domain engine state) is line aligned, so the tasks do not
+///     contend through false sharing.
+///
 /// Eligibility: barrier/unsynchronized schedules without a trace log
 /// (point-to-point schedules interleave at access-wait granularity and
 /// traced runs need the global event order; both fall back to the

@@ -3,10 +3,11 @@
 // Thread-safety stress coverage for the epoch-parallel engine, built to
 // run under ThreadSanitizer in CI: one MachineSim hammered by repeated
 // parallel executions on a shared pool (the phase-1 workers touch
-// disjoint private caches of the SAME machine — exactly the sharing
-// pattern TSan must see as race-free), plus the nested configuration the
-// serve daemon runs in production: engines borrowing the pool of the
-// Service that is executing them on that same pool.
+// disjoint private caches of the SAME machine, and the phase-2 domain
+// tasks disjoint shared caches — exactly the sharing pattern TSan must
+// see as race-free), plus the nested configuration the serve daemon runs
+// in production: engines borrowing the pool of the Service that is
+// executing them on that same pool.
 //
 // Every run is also checked bit-exact against a sequential twin, so a
 // synchronization bug that silently corrupts state (rather than tripping
@@ -88,6 +89,56 @@ TEST(ParallelEngineStress, HammersOneMachineFromSharedPool) {
     ExecutionResult Par = executeTrace(ParSim, Trace, Pipe.Map, Exec);
     ExecutionResult Seq = executeTrace(SeqSim, Trace, Pipe.Map);
     expectSameResult(Par, Seq, Round);
+  }
+}
+
+/// \p Map re-cut into \p NumRounds barrier rounds: each core's schedule
+/// is split into equal consecutive slices.
+Mapping withBarrierRounds(Mapping Map, unsigned NumRounds) {
+  Map.Sync = SyncMode::Barrier;
+  Map.PointDeps.clear();
+  Map.BarriersRequired = true;
+  Map.NumRounds = NumRounds;
+  Map.RoundEnd.assign(Map.NumCores, {});
+  for (unsigned C = 0; C != Map.NumCores; ++C) {
+    const std::uint64_t N = Map.CoreIterations[C].size();
+    for (unsigned R = 1; R <= NumRounds; ++R)
+      Map.RoundEnd[C].push_back(static_cast<std::uint32_t>(N * R / NumRounds));
+  }
+  return Map;
+}
+
+TEST(ParallelEngineStress, MergesDomainsConcurrentlyAcrossManyRounds) {
+  // Many-round barrier mappings on Harpertown (four cache domains) and
+  // Dunnington (two): the merge runs one task per domain on the shared
+  // pool, so under TSan this sees concurrent domain merges probing
+  // neighbouring caches of one machine, and every run is still checked
+  // bit-exact against the sequential engine.
+  Program Prog = makeWorkload("mesa");
+  IterationTable Table = Prog.Nests[0].enumerate();
+  AddressMap Addrs(Prog.Arrays);
+  AccessTrace Trace = AccessTrace::compile(Prog, 0, Table, Addrs);
+
+  ThreadPool Pool(4);
+  SimExec Exec;
+  Exec.Threads = 4;
+  Exec.Pool = &Pool;
+  for (const CacheTopology &Topo : {makeHarpertown().scaledCapacity(1.0 / 32),
+                                    makeDunnington().scaledCapacity(1.0 / 32)}) {
+    PipelineResult Pipe =
+        runMappingPipeline(Prog, 0, Topo, Strategy::Base,
+                           ExperimentConfig::makeDefaultOptions());
+    Mapping Map = withBarrierRounds(Pipe.Map, 40);
+    ASSERT_TRUE(Map.validate());
+
+    MachineSim ParSim(Topo);
+    MachineSim SeqSim(Topo);
+    ASSERT_TRUE(epochParallelEligible(ParSim, Map));
+    for (int Round = 0; Round != 4; ++Round) {
+      ExecutionResult Par = executeTrace(ParSim, Trace, Map, Exec);
+      ExecutionResult Seq = executeTrace(SeqSim, Trace, Map);
+      expectSameResult(Par, Seq, Round);
+    }
   }
 }
 

@@ -95,18 +95,21 @@ Program makeRandomProgram(SplitMix64 &Rng) {
 /// A random two- or three-level topology. Line sizes include non-powers
 /// of two (exercising the division path) and set counts are frequently
 /// non-powers of two (exercising the modulo path next to the mask path).
-CacheTopology makeRandomTopology(SplitMix64 &Rng) {
+CacheParams makeRandomCacheParams(SplitMix64 &Rng, unsigned Level) {
   static const unsigned LineSizes[] = {32, 48, 64, 96};
   static const unsigned SetCounts[] = {2, 3, 4, 5, 7, 8, 12, 16};
+  CacheParams P;
+  P.Assoc = 1 + static_cast<unsigned>(Rng.nextBelow(4));
+  P.LineSize = LineSizes[Rng.nextBelow(4)];
+  const unsigned Sets = SetCounts[Rng.nextBelow(8)] * Level;
+  P.SizeBytes = static_cast<std::uint64_t>(Sets) * P.Assoc * P.LineSize;
+  P.LatencyCycles = Level * (2 + static_cast<unsigned>(Rng.nextBelow(6)));
+  return P;
+}
 
+CacheTopology makeRandomTopology(SplitMix64 &Rng) {
   auto params = [&](unsigned Level) {
-    CacheParams P;
-    P.Assoc = 1 + static_cast<unsigned>(Rng.nextBelow(4));
-    P.LineSize = LineSizes[Rng.nextBelow(4)];
-    const unsigned Sets = SetCounts[Rng.nextBelow(8)] * Level;
-    P.SizeBytes = static_cast<std::uint64_t>(Sets) * P.Assoc * P.LineSize;
-    P.LatencyCycles = Level * (2 + static_cast<unsigned>(Rng.nextBelow(6)));
-    return P;
+    return makeRandomCacheParams(Rng, Level);
   };
 
   CacheTopology T("rand", 60 + static_cast<unsigned>(Rng.nextBelow(140)));
@@ -120,6 +123,45 @@ CacheTopology makeRandomTopology(SplitMix64 &Rng) {
     const unsigned L2 = T.addCache(Parent, 2, params(2));
     for (unsigned C = 0; C != CoresPerShared; ++C)
       T.addCache(L2, 1, params(1));
+  }
+  T.finalize();
+  return T;
+}
+
+/// A random topology of 1-4 root-level cache domains of different
+/// shapes, each with 1-3 cores: an L2 over its L1s, an L3 over one or two
+/// L2s, or (domain \p PrivateOnly, when in range) a lone core whose only
+/// cache is a private L1. Sets *HasPrivateOnly when that domain exists.
+CacheTopology makeDomainTopology(SplitMix64 &Rng, bool *HasPrivateOnly) {
+  CacheTopology T("domains", 60 + static_cast<unsigned>(Rng.nextBelow(140)));
+  const unsigned NumDomains = 1 + static_cast<unsigned>(Rng.nextBelow(4));
+  const unsigned PrivateOnly =
+      static_cast<unsigned>(Rng.nextBelow(NumDomains + 1));
+  *HasPrivateOnly = PrivateOnly != NumDomains;
+  for (unsigned D = 0; D != NumDomains; ++D) {
+    if (D == PrivateOnly) {
+      T.addCache(T.rootId(), 1, makeRandomCacheParams(Rng, 1));
+      continue;
+    }
+    const unsigned Cores = 1 + static_cast<unsigned>(Rng.nextBelow(3));
+    if (Rng.nextBelow(2) == 0) { // two levels: L2 over the L1s
+      const unsigned L2 =
+          T.addCache(T.rootId(), 2, makeRandomCacheParams(Rng, 2));
+      for (unsigned C = 0; C != Cores; ++C)
+        T.addCache(L2, 1, makeRandomCacheParams(Rng, 1));
+      continue;
+    }
+    // Three levels: L3 over one L2 (all cores) or over two L2s splitting
+    // the cores, so a domain can hold private and shared L2s side by side.
+    const unsigned L3 =
+        T.addCache(T.rootId(), 3, makeRandomCacheParams(Rng, 3));
+    const unsigned NumL2 = Cores >= 2 && Rng.nextBelow(2) == 0 ? 2 : 1;
+    unsigned L2 = 0;
+    for (unsigned C = 0; C != Cores; ++C) {
+      if (C == 0 || (NumL2 == 2 && C == 1))
+        L2 = T.addCache(L3, 2, makeRandomCacheParams(Rng, 2));
+      T.addCache(L2, 1, makeRandomCacheParams(Rng, 1));
+    }
   }
   T.finalize();
   return T;
@@ -150,23 +192,30 @@ makeRandomPartition(std::uint32_t NumIterations, unsigned NumCores,
   return PerCore;
 }
 
+/// Synchronization regime of a random mapping; Any draws one.
+enum class MappingMode { FreeRunning, Barrier, PointToPoint, Any };
+
 /// A random mapping in one of the three synchronization regimes the
 /// engine supports: free running, multi-round barriers, point-to-point.
 Mapping makeRandomMapping(std::uint32_t NumIterations, unsigned NumCores,
-                          SplitMix64 &Rng) {
+                          SplitMix64 &Rng,
+                          MappingMode Forced = MappingMode::Any) {
   Mapping Map;
   Map.StrategyName = "random";
   Map.NumCores = NumCores;
   Map.CoreIterations = makeRandomPartition(NumIterations, NumCores, Rng);
 
-  const unsigned Mode = static_cast<unsigned>(Rng.nextBelow(3));
-  if (Mode == 0) { // free running: one round, no barriers
+  const MappingMode Mode =
+      Forced == MappingMode::Any
+          ? static_cast<MappingMode>(Rng.nextBelow(3))
+          : Forced;
+  if (Mode == MappingMode::FreeRunning) { // one round, no barriers
     Map.NumRounds = 1;
     Map.RoundEnd.resize(NumCores);
     for (unsigned C = 0; C != NumCores; ++C)
       Map.RoundEnd[C].push_back(Map.CoreIterations[C].size());
     Map.BarriersRequired = false;
-  } else if (Mode == 1) { // multi-round barriers
+  } else if (Mode == MappingMode::Barrier) { // multi-round barriers
     Map.NumRounds = 2 + static_cast<unsigned>(Rng.nextBelow(2));
     Map.BarriersRequired = true;
     Map.RoundEnd.resize(NumCores);
@@ -321,6 +370,123 @@ TEST(SimEquivalence, ParallelEngineMatchesSequential) {
       ExecutionResult ParWarm = executeTrace(ParSim, Trace, Map, Exec);
       expectIdentical(ParWarm, SeqWarm, Seed);
     }
+  }
+}
+
+TEST(SimEquivalence, ParallelEngineMatchesSequentialAcrossDomains) {
+  // Topologies of 1-4 independent cache domains of different shapes: the
+  // merge runs one task per domain on round-relative clocks, so every
+  // regime must still match the sequential engine exactly, cold and warm.
+  // The engine is called directly at one thread (domains merged in turn
+  // on the calling thread) and through executeTrace on pools of several
+  // sizes; point-to-point mappings take the sequential fallback there.
+  unsigned PrivateOnlyConfigs = 0, MultiDomainConfigs = 0;
+  for (std::uint64_t Seed = 401; Seed <= 430; ++Seed) {
+    SplitMix64 Rng(Seed);
+    Program Prog = makeRandomProgram(Rng);
+    bool HasPrivateOnly = false;
+    CacheTopology Topo = makeDomainTopology(Rng, &HasPrivateOnly);
+    PrivateOnlyConfigs += HasPrivateOnly;
+    MultiDomainConfigs += Topo.node(Topo.rootId()).Children.size() > 1;
+    IterationTable Table = Prog.Nests[0].enumerate();
+    AddressMap Addrs(Prog.Arrays);
+    AccessTrace Trace = AccessTrace::compile(Prog, 0, Table, Addrs);
+
+    for (MappingMode Mode : {MappingMode::FreeRunning, MappingMode::Barrier,
+                             MappingMode::PointToPoint}) {
+      Mapping Map =
+          makeRandomMapping(Table.size(), Topo.numCores(), Rng, Mode);
+      ASSERT_TRUE(Map.validate());
+
+      MachineSim SeqSim(Topo);
+      ExecutionResult SeqCold = executeTrace(SeqSim, Trace, Map);
+      ExecutionResult SeqWarm = executeTrace(SeqSim, Trace, Map);
+
+      MachineSim DirectSim(Topo);
+      if (epochParallelEligible(DirectSim, Map)) {
+        SimExec One;
+        One.Threads = 1;
+        expectIdentical(executeTraceEpochParallel(DirectSim, Trace, Map, One),
+                        SeqCold, Seed);
+        expectIdentical(executeTraceEpochParallel(DirectSim, Trace, Map, One),
+                        SeqWarm, Seed);
+      }
+
+      for (unsigned Threads : {2u, 3u, 7u}) {
+        MachineSim ParSim(Topo);
+        SimExec Exec;
+        Exec.Threads = Threads;
+        expectIdentical(executeTrace(ParSim, Trace, Map, Exec), SeqCold,
+                        Seed);
+        expectIdentical(executeTrace(ParSim, Trace, Map, Exec), SeqWarm,
+                        Seed);
+      }
+    }
+  }
+  EXPECT_GT(PrivateOnlyConfigs, 0u);
+  EXPECT_GT(MultiDomainConfigs, 0u);
+}
+
+TEST(SimEquivalence, ParallelEngineFoldsBarriersAcrossDomains) {
+  // Two domains of two cores (an L2 over two L1s each) and four barrier
+  // rounds in which the heavy domain alternates: domain 0's cores carry
+  // 12 iterations in rounds 0 and 2 and one in rounds 1 and 3, domain 1
+  // the reverse. A different domain therefore ends each round last, and
+  // every round start depends on the other domain's span.
+  CacheTopology Topo("two-domains", 100);
+  CacheParams L1{/*SizeBytes=*/256, /*Assoc=*/2, /*LineSize=*/32,
+                 /*LatencyCycles=*/2};
+  CacheParams L2{/*SizeBytes=*/1024, /*Assoc=*/4, /*LineSize=*/64,
+                 /*LatencyCycles=*/10};
+  for (unsigned D = 0; D != 2; ++D) {
+    const unsigned Shared = Topo.addCache(Topo.rootId(), 2, L2);
+    Topo.addCache(Shared, 1, L1);
+    Topo.addCache(Shared, 1, L1);
+  }
+  Topo.finalize();
+
+  Program Prog;
+  Prog.addArray(ArrayDecl("A", {512}, 8));
+  LoopNest Nest("alternating", 1);
+  Nest.addConstantDim(0, 4 * 26 - 1); // inclusive bounds: 104 iterations
+  AffineExpr Sub(1);
+  Sub.setCoeff(0, 4);
+  Nest.addAccess(ArrayAccess(0, {Sub}));
+  Prog.Nests.push_back(std::move(Nest));
+  IterationTable Table = Prog.Nests[0].enumerate();
+  AddressMap Addrs(Prog.Arrays);
+  AccessTrace Trace = AccessTrace::compile(Prog, 0, Table, Addrs);
+
+  Mapping Map;
+  Map.StrategyName = "alternating";
+  Map.NumCores = 4;
+  Map.NumRounds = 4;
+  Map.BarriersRequired = true;
+  Map.CoreIterations.resize(4);
+  Map.RoundEnd.resize(4);
+  std::uint32_t Next = 0;
+  for (unsigned Round = 0; Round != 4; ++Round)
+    for (unsigned C = 0; C != 4; ++C) {
+      const bool Heavy = (C / 2) == Round % 2;
+      for (unsigned I = 0; I != (Heavy ? 12u : 1u); ++I)
+        Map.CoreIterations[C].push_back(Next++);
+      Map.RoundEnd[C].push_back(Map.CoreIterations[C].size());
+    }
+  ASSERT_EQ(Next, Table.size());
+  ASSERT_TRUE(Map.validate());
+
+  MachineSim SeqSim(Topo);
+  ExecutionResult Seq = executeTrace(SeqSim, Trace, Map);
+  // Round 3 is domain 1's heavy round, so its cores finish last.
+  EXPECT_GT(std::min(Seq.CoreCycles[2], Seq.CoreCycles[3]),
+            std::max(Seq.CoreCycles[0], Seq.CoreCycles[1]));
+
+  for (unsigned Threads : {1u, 2u, 4u}) {
+    MachineSim ParSim(Topo);
+    SimExec Exec;
+    Exec.Threads = Threads;
+    expectIdentical(executeTraceEpochParallel(ParSim, Trace, Map, Exec), Seq,
+                    Threads);
   }
 }
 
