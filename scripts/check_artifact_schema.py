@@ -2,7 +2,6 @@
 """Sanity-check cta artifact JSON files (stdlib only).
 
 Usage: check_artifact_schema.py FILE [FILE...]
-       check_artifact_schema.py --canon FILE
 
 Validates several document kinds, dispatched on shape:
 
@@ -22,13 +21,6 @@ Validates several document kinds, dispatched on shape:
  * cta-serve-bench-v1 — the `cta client` load report: counts reconcile
    (ok + errors = measured requests) and the latency block is ordered
    (p50 <= p90 <= p99 <= max).
- * cta-worker-shard-v1 — one frame of the multi-process transport's
-   parent->worker protocol (serve/Worker.h): every task carries a hex
-   fingerprint key, a canonical program, full machine topologies and a
-   complete options block with hexfloat-encoded doubles.
- * cta-worker-done-v1 — the worker->parent reply: either an embedded
-   cta-bench-artifact-v1 under "artifact" or a typed "error" string,
-   never both.
  * cta-adaptive-bench-v1 — bench/adaptive_headroom's head-to-head
    document: per (scenario, workload, strategy) the simulated cycles
    and the runtime.adapt.* counters. Static strategies must report
@@ -39,18 +31,10 @@ Validates several document kinds, dispatched on shape:
    counters, gauges, and log-bucketed histograms whose bucket counts
    must reconcile with the reported count.
  * cta-serve-event-v1 — the --log-json structured event log. A file of
-   JSON lines (one object per request/shard lifecycle transition) is
+   JSON lines (one object per request lifecycle transition) is
    accepted as well as a single-object file; every line must carry the
    schema tag, an epoch timestamp, a pid and a known event name, with
    trace/span ids as 16-char lowercase hex.
-
---canon prints a canonicalized cta-bench-artifact-v1 to stdout instead
-of validating: timing, RSS, host-dependent knobs (jobs, process
-counters/phases) and the per-run engine-telemetry counter families
-(sim.batch.*, sim.parallel.*, exec.worker.*) are stripped, so two
-canonical dumps from runs of the same grid must be byte-identical
-regardless of --workers/--jobs/--sim-threads. scripts/multiproc_smoke.sh
-diffs these to prove multi-process determinism.
 
 Exits non-zero and prints one line per violation; this is a guard
 against silent schema drift, not a full JSON-Schema validator.
@@ -114,27 +98,6 @@ def check_engine_counters(obj, path):
         if obj.get("sim.parallel.runs", 0) == 0:
             err(path, "sim.parallel.* counters present but "
                 "sim.parallel.runs is 0")
-    # The multi-process transport publishes its whole family on every
-    # flush, zeros included — a member missing means ProcessTransport
-    # stopped reporting half its telemetry, and retries/respawns without a
-    # single shard run means the coordinator lost work.
-    worker = [k for k in obj if k.startswith("exec.worker.")]
-    if worker:
-        for key in ("exec.worker.shards_run", "exec.worker.shards_stolen",
-                    "exec.worker.shards_retried", "exec.worker.respawns",
-                    "exec.worker.spawned"):
-            if key not in obj:
-                err(path, f"worker-transport counters incomplete: '{key}' "
-                    "missing")
-        if obj.get("exec.worker.shards_run", 0) > 0 and \
-                obj.get("exec.worker.spawned", 0) == 0:
-            err(path, "exec.worker.shards_run > 0 but no worker was "
-                "ever spawned")
-        if obj.get("exec.worker.shards_run", 0) == 0 and \
-                (obj.get("exec.worker.shards_retried", 0) > 0 or
-                 obj.get("exec.worker.shards_stolen", 0) > 0):
-            err(path, "exec.worker retries/steals reported without any "
-                "shard ever completing")
 
 
 def check_phase(phase, path):
@@ -417,100 +380,6 @@ def check_serve_bench(doc, path):
                 err(spath, "latency split quantiles are not monotone")
 
 
-def check_topology(topo, path):
-    expect_keys(topo, {"name": str, "nodes": list}, path)
-    for i, node in enumerate(topo.get("nodes", [])):
-        npath = f"{path}.nodes[{i}]"
-        expect_keys(
-            node,
-            {"parent": int, "level": int, "size_bytes": str, "assoc": int,
-             "line_size": int, "latency": int, "speed": int},
-            npath,
-        )
-        # Per-core speed (runtime/ degraded-machine attribute): 0 means
-        # disabled, otherwise a percentage of nominal.
-        speed = node.get("speed")
-        if isinstance(speed, int) and not 0 <= speed <= 100:
-            err(npath, f"speed {speed} outside 0..100")
-        # The decoder requires parents to precede children; node 0 is the
-        # unique root.
-        if node.get("parent", 0) >= i:
-            err(npath, f"parent {node.get('parent')} does not precede "
-                f"node {i}")
-        if i == 0 and node.get("parent") != -1:
-            err(npath, "root node's parent is not -1")
-        if not str(node.get("size_bytes", "")).isdigit():
-            err(npath, "size_bytes is not a decimal string")
-
-
-def check_hexfloat(obj, key, path):
-    value = obj.get(key)
-    if not isinstance(value, str) or \
-            not (value.startswith("0x") or value.startswith("-0x")):
-        err(path, f"option '{key}' is not a hexfloat string: {value!r}")
-
-
-def check_worker_shard(doc, path):
-    expect_keys(doc, {"schema": str, "shard": int, "tasks": list}, path)
-    if not doc.get("tasks"):
-        err(path, "shard frame carries no tasks")
-    for i, task in enumerate(doc.get("tasks", [])):
-        tpath = f"{path}.tasks[{i}]"
-        expect_keys(
-            task,
-            {
-                "label": str,
-                "key": str,
-                "source_hash": str,
-                "strategy": int,
-                "program": str,
-                "machine": dict,
-                "runs_on": (dict, type(None)),
-                "options": dict,
-            },
-            tpath,
-        )
-        key = task.get("key", "")
-        if not key or len(key) > 16 or \
-                any(c not in "0123456789abcdef" for c in key):
-            err(tpath, f"key is not a lowercase hex fingerprint: {key!r}")
-        # Optional span identity (present only on telemetry-tracked tasks;
-        # untraced frames stay byte-identical to the pre-telemetry wire).
-        for id_key in ("trace_id", "span_id"):
-            check_telemetry_hex_id(task, id_key, tpath)
-        if not str(task.get("source_hash", "")).isdigit():
-            err(tpath, "source_hash is not a decimal string")
-        if isinstance(task.get("machine"), dict):
-            check_topology(task["machine"], f"{tpath}.machine")
-        if isinstance(task.get("runs_on"), dict):
-            check_topology(task["runs_on"], f"{tpath}.runs_on")
-        options = task.get("options")
-        if isinstance(options, dict):
-            opath = f"{tpath}.options"
-            expect_keys(
-                options,
-                {
-                    "block_size": str,
-                    "balance": str,
-                    "alpha": str,
-                    "beta": str,
-                    "max_mapper_level": int,
-                    "dep_policy": int,
-                    "barrier_sync": bool,
-                    "max_groups": int,
-                    "chain_coarsen": int,
-                    "max_iterations": str,
-                    "adapt_interval": int,
-                },
-                opath,
-            )
-            # Doubles travel as hexfloats ("%a") so the worker re-derives
-            # bit-identical fingerprints; a decimal rendering here would
-            # round-trip approximately and break the fingerprint check.
-            for key in ("balance", "alpha", "beta"):
-                check_hexfloat(options, key, opath)
-
-
 ADAPT_COUNTER_KEYS = ("rounds", "remaps", "migrations", "weight_updates",
                       "fallbacks")
 
@@ -566,34 +435,6 @@ def check_adaptive_bench(doc, path):
                             f"{strategy!r} reports nonzero {key}")
 
 
-def check_worker_done(doc, path):
-    expect_keys(doc, {"schema": str, "shard": int}, path)
-    has_artifact = isinstance(doc.get("artifact"), dict)
-    has_error = isinstance(doc.get("error"), str)
-    if has_artifact == has_error:
-        err(path, "done frame must carry exactly one of 'artifact' or "
-            "'error'")
-    if has_artifact:
-        check_bench(doc["artifact"], f"{path}.artifact")
-    # Worker-side telemetry events ride home as preformatted
-    # cta-serve-event-v1 lines; each must be a valid event on its own.
-    if "events" in doc:
-        if not isinstance(doc["events"], list):
-            err(path, "'events' is not an array")
-        else:
-            for i, line in enumerate(doc["events"]):
-                epath = f"{path}.events[{i}]"
-                if not isinstance(line, str):
-                    err(epath, "event entry is not a string")
-                    continue
-                try:
-                    event = json.loads(line)
-                except json.JSONDecodeError as e:
-                    err(epath, f"event line is not JSON: {e}")
-                    continue
-                check_serve_event(event, epath)
-
-
 def check_telemetry_hex_id(obj, key, path):
     value = obj.get(key)
     if value is None:
@@ -603,9 +444,7 @@ def check_telemetry_hex_id(obj, key, path):
         err(path, f"'{key}' is not 16 lowercase hex chars: {value!r}")
 
 
-EVENT_NAMES = ("admitted", "coalesced", "shed", "dispatched", "completed",
-               "shard_dispatched", "shard_stolen", "shard_retried",
-               "shard_completed", "task_completed")
+EVENT_NAMES = ("admitted", "coalesced", "shed", "dispatched", "completed")
 
 
 def check_serve_event(doc, path):
@@ -624,16 +463,12 @@ def check_serve_event(doc, path):
         err(path, f"unknown event name {doc.get('event')!r}")
     if isinstance(doc.get("ts"), (int, float)) and doc["ts"] <= 0:
         err(path, "ts is not a positive epoch timestamp")
-    for key in ("trace_id", "span_id", "parent_span_id"):
+    for key in ("trace_id", "span_id"):
         check_telemetry_hex_id(doc, key, path)
-    # A parent span without a span (or a span without a trace) cannot be
-    # stitched into any tree.
-    if "parent_span_id" in doc and "span_id" not in doc:
-        err(path, "parent_span_id without a span_id")
+    # A span without a trace cannot be joined to its request.
     if "span_id" in doc and "trace_id" not in doc:
         err(path, "span_id without a trace_id")
     for key, types in (("id", str), ("client", str), ("detail", str),
-                       ("shard", int), ("worker", int),
                        ("seconds", (int, float))):
         if key in doc and not isinstance(doc[key], types):
             err(path, f"'{key}' has type {type(doc[key]).__name__}")
@@ -716,59 +551,11 @@ def check_serve_stats(doc, path):
                         f"serve.latency.{tier} histogram")
 
 
-CANON_RUN_DROP = ("mapping_seconds", "phases")
-CANON_COUNTER_PREFIXES = ("sim.batch.", "sim.parallel.", "exec.worker.")
-
-
-def canonicalize(doc, path):
-    """Strips everything host- or schedule-dependent from a bench artifact.
-
-    What survives is exactly the determinism contract of the multi-process
-    transport: the same grid at any --workers/--jobs/--sim-threads must
-    produce byte-identical canonical dumps (simulated work, cycles,
-    per-cache totals, fingerprints), while wall clock, RSS, engine
-    telemetry and process-level counters may all legitimately differ.
-    """
-    if doc.get("schema") != "cta-bench-artifact-v1":
-        err(path, f"--canon expects a cta-bench-artifact-v1, got "
-            f"{doc.get('schema')!r}")
-        return None
-    cache = doc.get("cache")
-    if isinstance(cache, dict):
-        # The directory is a scratch path; hit/miss/store totals are part
-        # of the determinism contract (the parent services every lookup
-        # and store itself, workers or not).
-        cache = {k: v for k, v in cache.items() if k != "dir"}
-    canon = {
-        "schema": doc.get("schema"),
-        "bench": doc.get("bench"),
-        "simulator_invocations": doc.get("simulator_invocations"),
-        "simulated_accesses": doc.get("simulated_accesses"),
-        "cache": cache,
-        "runs": [],
-    }
-    for run in doc.get("runs", []):
-        crun = {k: v for k, v in run.items() if k not in CANON_RUN_DROP}
-        crun["mapping_seconds"] = 0
-        counters = run.get("counters")
-        if isinstance(counters, dict):
-            crun["counters"] = {
-                k: v for k, v in counters.items()
-                if not k.startswith(CANON_COUNTER_PREFIXES)}
-        canon["runs"].append(crun)
-    return canon
-
-
 def main(argv):
     if len(argv) < 2:
         print(__doc__.strip(), file=sys.stderr)
         return 2
-    canon_mode = "--canon" in argv[1:]
-    files = [a for a in argv[1:] if a != "--canon"]
-    if canon_mode and len(files) != 1:
-        print("check_artifact_schema: --canon takes exactly one file",
-              file=sys.stderr)
-        return 2
+    files = argv[1:]
     for file in files:
         try:
             with open(file, "r", encoding="utf-8") as f:
@@ -793,24 +580,13 @@ def main(argv):
             else:
                 err(file, f"unreadable or invalid JSON: {e}")
             continue
-        if canon_mode:
-            canon = canonicalize(doc, file)
-            if canon is not None and not ERRORS:
-                json.dump(canon, sys.stdout, sort_keys=True, indent=1)
-                sys.stdout.write("\n")
-        elif isinstance(doc, dict) and "traceEvents" in doc:
+        if isinstance(doc, dict) and "traceEvents" in doc:
             check_trace(doc, file)
         elif isinstance(doc, dict) and doc.get("schema") == "cta-serve-resp-v1":
             check_serve_resp(doc, file)
         elif isinstance(doc, dict) and \
                 doc.get("schema") == "cta-serve-bench-v1":
             check_serve_bench(doc, file)
-        elif isinstance(doc, dict) and \
-                doc.get("schema") == "cta-worker-shard-v1":
-            check_worker_shard(doc, file)
-        elif isinstance(doc, dict) and \
-                doc.get("schema") == "cta-worker-done-v1":
-            check_worker_done(doc, file)
         elif isinstance(doc, dict) and \
                 doc.get("schema") == "cta-adaptive-bench-v1":
             check_adaptive_bench(doc, file)
@@ -828,8 +604,7 @@ def main(argv):
         print(f"check_artifact_schema: {len(ERRORS)} violation(s)",
               file=sys.stderr)
         return 1
-    if not canon_mode:
-        print(f"check_artifact_schema: {len(files)} artifact(s) OK")
+    print(f"check_artifact_schema: {len(files)} artifact(s) OK")
     return 0
 
 

@@ -28,17 +28,6 @@ and the warm:cold mix match, that every request completed ok, and that
 the cache_status histograms agree (a warm-serving regression shows up
 as misses before it shows up as latency).
 
-cta-multiproc-v1 documents (scripts/multiproc_smoke.sh) record the
-cold fig13 sweep at --workers=1 and --workers=4 plus the CPU count of
-the measuring machine. simulated_accesses must agree across every
-entry of both files — the multi-process transport is bit-exact by
-contract, so drift is a correctness failure. The wall clocks are never
-compared across files (the committed baseline and the CI runner are
-different machines); instead the *fresh* file's own 1->4 worker
-speedup is gated at >= 2.5x, and only when the fresh machine reports
->= 4 CPUs — a 1-CPU box physically cannot show one, and pretending
-otherwise would just teach people to ignore the gate.
-
 cta-adaptive-bench-v1 documents (bench/adaptive_headroom) are gated on
 correctness, not wall clock: simulated cycles are machine-independent,
 so every (scenario, workload, strategy) cell must match the committed
@@ -185,61 +174,6 @@ def compare_hotpath_v2(base, fresh, max_regress):
     return 0
 
 
-MULTIPROC_MIN_SPEEDUP = 2.5
-MULTIPROC_MIN_CPUS = 4
-
-
-def compare_multiproc(base, fresh):
-    if base.get("benchmark") != fresh.get("benchmark"):
-        die(f"benchmark mismatch: baseline {base.get('benchmark')!r} vs "
-            f"fresh {fresh.get('benchmark')!r}")
-
-    # Bit-exactness first: every entry in both files must have simulated
-    # the exact same accesses, whatever the worker count or machine.
-    counts = set()
-    for name, doc in (("baseline", base), ("fresh", fresh)):
-        entries = doc.get("entries")
-        if not isinstance(entries, list) or not entries:
-            die(f"{name} has no entries", 2)
-        for e in entries:
-            counts.add(e.get("simulated_accesses"))
-    if len(counts) != 1:
-        die(f"simulated_accesses disagree across entries "
-            f"({sorted(counts)}) — the sharded runs did different work, "
-            "this is a bit-exactness failure, not noise")
-
-    by_workers = {}
-    for e in fresh["entries"]:
-        by_workers[e.get("workers")] = e
-        wall = e.get("wall_seconds")
-        if not isinstance(wall, (int, float)) or wall <= 0:
-            die(f"fresh wall_seconds unusable at workers="
-                f"{e.get('workers')}: {wall!r}", 2)
-    for need in (1, MULTIPROC_MIN_CPUS):
-        if need not in by_workers:
-            die(f"fresh file has no workers={need} entry — the smoke "
-                "recipe changed, re-baseline deliberately")
-
-    speedup = (by_workers[1]["wall_seconds"] /
-               by_workers[MULTIPROC_MIN_CPUS]["wall_seconds"])
-    cpus = fresh.get("cpus")
-    summary = (f"cold sweep {by_workers[1]['wall_seconds']:.3f}s at 1 "
-               f"worker -> {by_workers[MULTIPROC_MIN_CPUS]['wall_seconds']:.3f}s "
-               f"at {MULTIPROC_MIN_CPUS} ({speedup:.2f}x) on {cpus} CPU(s)")
-    if isinstance(cpus, int) and cpus >= MULTIPROC_MIN_CPUS:
-        if speedup < MULTIPROC_MIN_SPEEDUP:
-            die(f"REGRESSION: {summary} is below the "
-                f"{MULTIPROC_MIN_SPEEDUP}x gate — sharded execution "
-                "stopped scaling")
-        print(f"compare_bench: OK: {summary} "
-              f"(gate {MULTIPROC_MIN_SPEEDUP}x)")
-    else:
-        print(f"compare_bench: OK: {summary} — speedup not gated, the "
-              f"measuring machine has fewer than {MULTIPROC_MIN_CPUS} "
-              "CPUs")
-    return 0
-
-
 ADAPTIVE_DEGRADED_MAX_RATIO = 0.9   # >= 10% win required
 ADAPTIVE_UNIFORM_MAX_RATIO = 1.05   # <= 5% overhead allowed
 
@@ -339,17 +273,14 @@ def main(argv):
 
     serve = "cta-serve-bench-v1"
     hotpath = "cta-sim-hotpath-v2"
-    multiproc = "cta-multiproc-v1"
     adaptive = "cta-adaptive-bench-v1"
-    if base.get("schema") in (serve, hotpath, multiproc, adaptive) or \
-            fresh.get("schema") in (serve, hotpath, multiproc, adaptive):
+    if base.get("schema") in (serve, hotpath, adaptive) or \
+            fresh.get("schema") in (serve, hotpath, adaptive):
         if base.get("schema") != fresh.get("schema"):
             die(f"schema mismatch: baseline {base.get('schema')!r} vs "
                 f"fresh {fresh.get('schema')!r}")
         if base.get("schema") == serve:
             return compare_serve(base, fresh, max_regress)
-        if base.get("schema") == multiproc:
-            return compare_multiproc(base, fresh)
         if base.get("schema") == adaptive:
             return compare_adaptive(base, fresh)
         return compare_hotpath_v2(base, fresh, max_regress)

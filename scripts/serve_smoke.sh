@@ -10,11 +10,11 @@
 # schemas, and the daemon must drain cleanly on SIGTERM: exit 0, socket
 # unlinked, summary line on stderr.
 #
-# A second daemon then runs with the full telemetry plane enabled
-# (--workers 2 --metrics-port 0 --log-json): /metrics and /healthz are
-# scraped mid-load (missing or non-monotonic counters fail), the event
-# log must contain a complete cross-process span tree for the sampled
-# cold requests, warm throughput with telemetry on is gated at <= 5%
+# A second daemon then runs in-process with the full telemetry plane
+# enabled (--jobs 4 --metrics-port 0 --log-json): /metrics and /healthz
+# are scraped mid-load (missing or non-monotonic counters fail), every
+# admitted request in the event log must complete under the same
+# trace id, warm throughput with telemetry on is gated at <= 5%
 # against the telemetry-off daemon (both measured interleaved on this
 # same host, best-of-three per side), and an unwritable --log-json path
 # must die with the positioned caret diagnostic.
@@ -119,13 +119,13 @@ cold = sum(v for k, v in status.items() if k != "warm")
 assert status.get("warm", 0) == 40 and cold == 20, status
 PYEOF
 
-# Phase 3: the telemetry plane. A second daemon with workers, the
-# Prometheus endpoint (kernel-assigned port, parsed from the startup
+# Phase 3: the telemetry plane. A second daemon with the Prometheus
+# endpoint (kernel-assigned port, parsed from the startup
 # line) and the structured event log. The first daemon stays up for
 # now: the overhead gate below measures both interleaved.
 SOCK2="$DIR/serve-tel.sock"
 "$CTA" serve --socket "$SOCK2" --cache-dir "$DIR/cache-tel" --jobs 4 \
-  --workers 2 --metrics-port 0 --log-json "$DIR/events.jsonl" \
+  --metrics-port 0 --log-json "$DIR/events.jsonl" \
   2>"$DIR/serve-tel.log" &
 SRV2_PID=$!
 for _ in $(seq 100); do
@@ -196,8 +196,8 @@ SRV_PID=""
 grep -q '^\[serve\] requests=' "$DIR/serve.log" \
   || fail "daemon exited without its summary line"
 
-# A cold mix through the worker fleet: slow enough to scrape mid-load,
-# and the event log records cross-process spans for every cold request.
+# A cold mix: slow enough to scrape mid-load, and the event log records
+# the lifecycle of every cold request.
 "$CTA" client --socket "$SOCK2" --workload sp --machine nehalem \
   --requests 20 --concurrency 2 --mix 1:1 &
 CLIENT_PID=$!
@@ -237,32 +237,19 @@ SRV2_PID=""
 python3 "$SCRIPTS_DIR/check_artifact_schema.py" \
   "$DIR/events.jsonl" "$DIR/warm-tel-bench.json" \
   || fail "telemetry artifacts violate the schema"
-python3 - "$DIR/events.jsonl" <<'PYEOF' || fail "event log span tree broken"
+python3 - "$DIR/events.jsonl" <<'PYEOF' || fail "event log lost a request"
 import json, sys
 events = [json.loads(l) for l in open(sys.argv[1]) if l.strip()]
 assert events, "event log is empty"
-# Every cold request that was dispatched must close: one completed event
-# per admitted id, and at least one worker-side task_completed span that
-# names a request span as its parent from a different pid.
+# Every cold request that was admitted must close: a completed event
+# carrying each admitted trace id.
 admitted = {e["trace_id"]: e for e in events
             if e["event"] == "admitted" and "trace_id" in e}
 assert admitted, "no admitted events carry a trace_id"
 completed = {e.get("trace_id") for e in events if e["event"] == "completed"}
 missing = set(admitted) - completed
 assert not missing, f"admitted traces never completed: {sorted(missing)}"
-stitched = 0
-for e in events:
-    if e["event"] != "task_completed":
-        continue
-    parent = admitted.get(e.get("trace_id"))
-    assert parent is not None, f"orphan worker span: {e}"
-    assert e.get("parent_span_id") == parent["span_id"], \
-        f"worker span does not name its parent: {e}"
-    if e["pid"] != parent["pid"]:
-        stitched += 1
-assert stitched > 0, "no worker-side span crossed a process boundary"
-print(f"serve_smoke: span tree OK ({len(admitted)} traces, "
-      f"{stitched} cross-process spans)")
+print(f"serve_smoke: event log OK ({len(admitted)} traces completed)")
 PYEOF
 
 # Telemetry overhead gate: warm throughput with the full plane on must

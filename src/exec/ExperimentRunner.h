@@ -32,8 +32,8 @@
 ///    fingerprint misses touch the simulator.
 ///
 /// Command-line integration: parseExecArgs() gives every bench binary the
-/// --jobs=N and --cache-dir=PATH flags (env fallbacks CTA_JOBS and
-/// CTA_CACHE_DIR) without per-bench argument code.
+/// exec flags (--jobs=N, --cache-dir=PATH, ...; env fallbacks CTA_JOBS,
+/// CTA_CACHE_DIR, ...) without per-bench argument code.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -73,14 +73,6 @@ struct ExecConfig {
   /// Name recorded in emitted artifacts; parseExecArgs() defaults it to
   /// the binary's basename.
   std::string BenchName = "bench";
-  /// Worker subprocesses for cold work (--workers=N / CTA_WORKERS).
-  /// 0 = in-process execution; N > 0 shards cold tasks across N spawned
-  /// worker processes with deterministicBytes-identical results (see
-  /// serve/Worker.h).
-  unsigned Workers = 0;
-  /// Tasks per worker shard (--worker-shard-size=N /
-  /// CTA_WORKER_SHARD_SIZE); 0 = auto.
-  unsigned WorkerShardSize = 0;
   /// Adaptive strategies: groups each core retires between remap commit
   /// points (--adapt-interval=N / CTA_ADAPT_INTERVAL). 0 = keep the
   /// MappingOptions default. Part of the run fingerprint (it changes
@@ -92,24 +84,28 @@ struct ExecConfig {
   std::string AdaptPolicy;
 };
 
-/// Parses --jobs=N / --jobs N, --sim-threads=N / --sim-threads N,
-/// --workers=N / --workers N, --worker-shard-size=N / --worker-shard-size
-/// N, --cache-dir=PATH / --cache-dir PATH, --no-timing, --emit-json=PATH /
-/// --emit-json PATH, --adapt-interval=N / --adapt-interval N and
-/// --adapt-policy=greedy|mw / --adapt-policy greedy|mw from \p argv (also
-/// accepts the CTA_JOBS / CTA_SIM_THREADS / CTA_WORKERS /
-/// CTA_WORKER_SHARD_SIZE / CTA_CACHE_DIR / CTA_NO_TIMING / CTA_EMIT_JSON /
-/// CTA_ADAPT_INTERVAL / CTA_ADAPT_POLICY environment variables as
-/// defaults). Unrecognized arguments are left alone so benches can layer
+/// Parses the exec flags --jobs=N, --sim-threads=N, --cache-dir=PATH,
+/// --no-timing, --emit-json=PATH, --adapt-interval=N and
+/// --adapt-policy=greedy|mw from \p argv; every flag with a value also
+/// accepts the separate `--flag value` form. The CTA_JOBS /
+/// CTA_SIM_THREADS / CTA_CACHE_DIR / CTA_NO_TIMING / CTA_EMIT_JSON /
+/// CTA_ADAPT_INTERVAL / CTA_ADAPT_POLICY environment variables supply
+/// defaults. Unrecognized arguments are left alone so benches can layer
 /// their own flags. Aborts on malformed values (anything that is not a
 /// plain in-range decimal for the numeric settings, or an unknown
 /// --adapt-policy name).
-///
-/// Worker entry: when argv contains --cta-worker-protocol, this function
-/// does not return — it runs serve::runWorkerProtocol on the parsed config
-/// and exits. Every binary that routes argv through parseExecArgs (cta and
-/// all bench binaries) is therefore worker-capable.
 ExecConfig parseExecArgs(int argc, char **argv);
+
+/// How one argv token relates to parseExecArgs' flags, for front ends
+/// that filter the exec flags out of their own argument lists.
+enum class ExecFlagForm {
+  None,        ///< not an exec flag
+  Complete,    ///< `--flag=value`, or a flag that takes no value
+  ValueFollows ///< `--flag` whose value is the next argv token
+};
+
+/// Classifies \p Arg against the same flag table parseExecArgs uses.
+ExecFlagForm classifyExecFlag(const char *Arg);
 
 /// Executes RunTasks concurrently with result caching. Thread-safe for
 /// concurrent run() calls, though benches use one runner per process.

@@ -231,8 +231,8 @@ void RunCache::store(std::uint64_t Key, const RunResult &R) const {
   std::filesystem::path Final =
       std::filesystem::path(Dir) / (toHexDigest(Key) + ".run");
   // Unique temp per writer *process and thread*, renamed into place
-  // atomically: concurrent `--workers` subprocesses (and any concurrent
-  // bench processes sharing a cache directory) publish the same key
+  // atomically: concurrent processes sharing a cache directory (two
+  // benches, `cta run` beside a `cta serve` daemon) publish the same key
   // without ever exposing a torn file — the last rename wins whole.
   std::ostringstream TmpName;
   TmpName << toHexDigest(Key) << ".tmp." << ::getpid() << "."

@@ -16,12 +16,10 @@
 /// Concurrency: lookups read whole files (lock-free readers); stores
 /// write to a temporary unique per process *and* thread, then rename() it
 /// into place, which is atomic on POSIX — so any number of worker
-/// threads, `--workers` subprocesses, or concurrent bench processes
-/// sharing a cache directory race benignly: the same key double-written
-/// by two publishers resolves to one whole winner, never a torn file.
-/// Corrupt or truncated entries deserialize to nullopt and are treated as
-/// misses. This is what lets the multi-process transport (serve/Worker.h)
-/// use a shared cache directory as its entire coordination substrate.
+/// threads, or concurrent processes sharing a cache directory, race
+/// benignly: the same key double-written by two publishers resolves to
+/// one whole winner, never a torn file. Corrupt or truncated entries
+/// deserialize to nullopt and are treated as misses.
 ///
 //======---------------------------------------------------------------====//
 

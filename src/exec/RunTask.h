@@ -50,14 +50,6 @@ struct RunTask {
   /// leave the log empty and storing one would waste an entry on a key
   /// (field 10 of the fingerprint schema) no untraced run can ever hit.
   std::shared_ptr<TraceLog> TraceSink;
-  /// Telemetry span identity (obs/EventLog.h): the request tree this task
-  /// belongs to and the span that submitted it. 0 = untracked. Carried
-  /// inside cta-worker-shard-v1 frames so worker-side events join the
-  /// parent's tree; deliberately NOT part of the run fingerprint — ids
-  /// name a request, not the work, so equal work still coalesces and
-  /// caches across requests.
-  std::uint64_t TraceId = 0;
-  std::uint64_t SpanId = 0;
 };
 
 /// RunTask has no default constructor (CacheTopology needs a machine);

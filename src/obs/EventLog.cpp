@@ -57,10 +57,6 @@ std::string EventLog::formatLine(const Event &E, std::int64_t Pid) {
     W.key("span_id");
     W.value(telemetryIdHex(E.SpanId));
   }
-  if (E.ParentSpanId) {
-    W.key("parent_span_id");
-    W.value(telemetryIdHex(E.ParentSpanId));
-  }
   if (!E.Id.empty()) {
     W.key("id");
     W.value(E.Id);
@@ -73,14 +69,6 @@ std::string EventLog::formatLine(const Event &E, std::int64_t Pid) {
     W.key("detail");
     W.value(E.Detail);
   }
-  if (E.Shard >= 0) {
-    W.key("shard");
-    W.value(E.Shard);
-  }
-  if (E.Worker >= 0) {
-    W.key("worker");
-    W.value(E.Worker);
-  }
   if (E.Seconds >= 0.0) {
     W.key("seconds");
     W.value(E.Seconds);
@@ -90,10 +78,8 @@ std::string EventLog::formatLine(const Event &E, std::int64_t Pid) {
 }
 
 void EventLog::log(const Event &E) {
-  logLine(formatLine(E, static_cast<std::int64_t>(::getpid())));
-}
-
-void EventLog::logLine(const std::string &Line) {
+  const std::string Line =
+      formatLine(E, static_cast<std::int64_t>(::getpid()));
   std::lock_guard<std::mutex> Lock(Mutex);
   std::fwrite(Line.data(), 1, Line.size(), File);
   std::fputc('\n', File);

@@ -6,23 +6,18 @@
 ///
 /// \file
 /// The daemon's structured event log: one JSON line (cta-serve-event-v1)
-/// per request/shard lifecycle transition — admitted, coalesced, shed,
-/// dispatched, stolen, retried, completed — so a single slow request is
-/// explainable after the fact without attaching a debugger to a live
-/// fleet.
+/// per request lifecycle transition — admitted, coalesced, shed,
+/// dispatched, completed — so a single slow request is explainable after
+/// the fact without attaching a debugger to a live daemon.
 ///
-/// Every request gets a trace_id (one per request tree) and a span_id
-/// (one per unit of work inside the tree); worker-side events carry the
-/// parent's trace_id and name their parent span, so the lines for one
-/// request assemble into a span tree that crosses process boundaries.
-/// The ids travel inside cta-worker-shard-v1 frames (serve/Worker.cpp);
-/// the worker returns its events in the done frame and the parent appends
-/// them here, which keeps the log a single ordered file per daemon.
+/// Every request that enters admission gets a trace_id and a span_id;
+/// all lines for one request carry the same pair, so they can be joined
+/// back into the request's timeline.
 ///
-/// Timestamps are wall-clock epoch seconds (system_clock): unlike the
-/// process-monotonic base run artifacts use, epoch time is comparable
-/// across the parent and its workers. The log is strictly opt-in
-/// (--log-json=FILE); a null EventLog* costs one branch per call site.
+/// Timestamps are wall-clock epoch seconds (system_clock), comparable
+/// with other processes' logs, unlike the process-monotonic base run
+/// artifacts use. The log is strictly opt-in (--log-json=FILE); a null
+/// EventLog* costs one branch per call site.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,22 +35,17 @@ namespace cta::obs {
 /// One lifecycle transition. Fields that do not apply stay at their
 /// defaults and are elided from the JSON line.
 struct Event {
-  /// "admitted", "coalesced", "shed", "dispatched", "completed",
-  /// "shard_dispatched", "shard_stolen", "shard_retried",
-  /// "shard_completed", "task_completed", ...
+  /// "admitted", "coalesced", "shed", "dispatched" or "completed".
   std::string Name;
   std::uint64_t TraceId = 0;
   std::uint64_t SpanId = 0;
-  std::uint64_t ParentSpanId = 0;
   /// Request id / client name as the request stated them.
   std::string Id;
   std::string Client;
-  /// Free-form qualifier: the serve tier ("warm", "miss"...), an error
-  /// kind, a task label.
+  /// Free-form qualifier: the serve tier ("warm", "miss"...) or why a
+  /// request was shed.
   std::string Detail;
-  std::int64_t Shard = -1;   ///< Shard number; -1 = not a shard event.
-  std::int64_t Worker = -1;  ///< Worker index; -1 = not worker-bound.
-  double Seconds = -1.0;     ///< Span duration; < 0 = not a closing event.
+  double Seconds = -1.0; ///< Span duration; < 0 = not a closing event.
 };
 
 /// Thread-safe append-only JSON-lines writer. Lines are flushed per
@@ -75,16 +65,10 @@ public:
   /// Appends one event as a cta-serve-event-v1 line.
   void log(const Event &E);
 
-  /// Appends a preformed JSON object line verbatim (worker-side events
-  /// forwarded through done frames). The caller guarantees \p Line is one
-  /// valid JSON object without a trailing newline.
-  void logLine(const std::string &Line);
-
   const std::string &path() const { return Path; }
 
   /// Renders \p E as its JSON line (no trailing newline) — the exact
-  /// bytes log() appends, also used by workers to pack events into done
-  /// frames. \p Pid stamps the producing process.
+  /// bytes log() appends. \p Pid stamps the producing process.
   static std::string formatLine(const Event &E, std::int64_t Pid);
 
 private:
@@ -96,7 +80,7 @@ private:
   std::string Path;
 };
 
-/// Mints a fresh id for a new trace or span: unique within a fleet with
+/// Mints a fresh id for a new trace or span: unique across processes with
 /// overwhelming probability (process nonce + pid + sequence hashed), never
 /// zero. Not deterministic — ids exist only in the opt-in event log and
 /// stats plane, never in run artifacts.

@@ -20,7 +20,7 @@
 /// `--sim-threads` requests fall back to this engine (documented in
 /// DESIGN.md). Determinism is unconditional — policies are deterministic
 /// and the event order is the sequential engine's — so artifacts are
-/// byte-identical across --jobs and --workers counts.
+/// byte-identical across --jobs counts.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -15,7 +15,7 @@
 /// pending work is steered toward the weight distribution.
 ///
 /// Policies must be deterministic: remap decisions feed artifacts that are
-/// byte-compared across --jobs / --workers configurations.
+/// byte-compared across --jobs configurations.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -8,7 +8,6 @@
 
 #include "exec/ExperimentRunner.h"
 
-#include "serve/Worker.h"
 #include "support/ErrorHandling.h"
 #include "support/ParseNumber.h"
 
@@ -30,119 +29,104 @@ static std::string parseAdaptPolicy(const char *What, const char *Value) {
   return V;
 }
 
+static unsigned parseCount(const char *What, const char *Value) {
+  return static_cast<unsigned>(parseUint64OrDie(What, Value, /*Max=*/UINT_MAX));
+}
+
+namespace {
+
+/// One exec flag: `--name=V` / `--name V` on the command line, or the
+/// environment variable \p Env as its default. Flags without a value
+/// (--no-timing) are set by their bare name or by \p Env being present.
+struct ExecFlag {
+  const char *Name;
+  const char *Env;
+  bool TakesValue;
+  /// Stores \p Value into \p C; \p What (the flag or variable name)
+  /// labels malformed-value errors.
+  void (*Apply)(ExecConfig &C, const char *What, const char *Value);
+};
+
+/// The single list of flags parseExecArgs understands, in environment
+/// evaluation order. classifyExecFlag reads it too, so front ends that
+/// filter exec flags out of their own argv never disagree with the parser.
+const ExecFlag ExecFlags[] = {
+    {"--jobs", "CTA_JOBS", true,
+     [](ExecConfig &C, const char *W, const char *V) {
+       C.Jobs = parseCount(W, V);
+     }},
+    {"--sim-threads", "CTA_SIM_THREADS", true,
+     [](ExecConfig &C, const char *W, const char *V) {
+       C.SimThreads = parseCount(W, V);
+     }},
+    {"--adapt-interval", "CTA_ADAPT_INTERVAL", true,
+     [](ExecConfig &C, const char *W, const char *V) {
+       C.AdaptInterval = parseCount(W, V);
+     }},
+    {"--adapt-policy", "CTA_ADAPT_POLICY", true,
+     [](ExecConfig &C, const char *W, const char *V) {
+       C.AdaptPolicy = parseAdaptPolicy(W, V);
+     }},
+    {"--cache-dir", "CTA_CACHE_DIR", true,
+     [](ExecConfig &C, const char *, const char *V) { C.CacheDir = V; }},
+    {"--no-timing", "CTA_NO_TIMING", false,
+     [](ExecConfig &C, const char *, const char *) { C.NoTiming = true; }},
+    {"--emit-json", "CTA_EMIT_JSON", true,
+     [](ExecConfig &C, const char *, const char *V) { C.EmitJsonPath = V; }},
+};
+
+/// The flag \p Arg names, with \p Inline pointing at its `=value` part
+/// (null for the bare name); null when \p Arg is not an exec flag.
+const ExecFlag *matchExecFlag(const char *Arg, const char *&Inline) {
+  for (const ExecFlag &F : ExecFlags) {
+    const std::size_t Len = std::strlen(F.Name);
+    if (std::strncmp(Arg, F.Name, Len) != 0)
+      continue;
+    if (Arg[Len] == '\0') {
+      Inline = nullptr;
+      return &F;
+    }
+    if (F.TakesValue && Arg[Len] == '=') {
+      Inline = Arg + Len + 1;
+      return &F;
+    }
+  }
+  return nullptr;
+}
+
+} // namespace
+
+ExecFlagForm cta::classifyExecFlag(const char *Arg) {
+  const char *Inline = nullptr;
+  const ExecFlag *F = matchExecFlag(Arg, Inline);
+  if (!F)
+    return ExecFlagForm::None;
+  return F->TakesValue && !Inline ? ExecFlagForm::ValueFollows
+                                  : ExecFlagForm::Complete;
+}
+
 ExecConfig cta::parseExecArgs(int argc, char **argv) {
   ExecConfig Config;
-  if (const char *Env = std::getenv("CTA_JOBS"))
-    Config.Jobs = static_cast<unsigned>(
-        parseUint64OrDie("CTA_JOBS", Env, /*Max=*/UINT_MAX));
-  if (const char *Env = std::getenv("CTA_SIM_THREADS"))
-    Config.SimThreads = static_cast<unsigned>(
-        parseUint64OrDie("CTA_SIM_THREADS", Env, /*Max=*/UINT_MAX));
-  if (const char *Env = std::getenv("CTA_WORKERS"))
-    Config.Workers = static_cast<unsigned>(
-        parseUint64OrDie("CTA_WORKERS", Env, /*Max=*/UINT_MAX));
-  if (const char *Env = std::getenv("CTA_WORKER_SHARD_SIZE"))
-    Config.WorkerShardSize = static_cast<unsigned>(
-        parseUint64OrDie("CTA_WORKER_SHARD_SIZE", Env, /*Max=*/UINT_MAX));
-  if (const char *Env = std::getenv("CTA_ADAPT_INTERVAL"))
-    Config.AdaptInterval = static_cast<unsigned>(
-        parseUint64OrDie("CTA_ADAPT_INTERVAL", Env, /*Max=*/UINT_MAX));
-  if (const char *Env = std::getenv("CTA_ADAPT_POLICY"))
-    Config.AdaptPolicy = parseAdaptPolicy("CTA_ADAPT_POLICY", Env);
-  if (const char *Env = std::getenv("CTA_CACHE_DIR"))
-    Config.CacheDir = Env;
-  if (std::getenv("CTA_NO_TIMING"))
-    Config.NoTiming = true;
-  if (const char *Env = std::getenv("CTA_EMIT_JSON"))
-    Config.EmitJsonPath = Env;
+  for (const ExecFlag &F : ExecFlags)
+    if (const char *Env = std::getenv(F.Env))
+      F.Apply(Config, F.Env, Env);
   if (argc > 0 && argv[0] && *argv[0]) {
     const char *Base = std::strrchr(argv[0], '/');
     Config.BenchName = Base ? Base + 1 : argv[0];
   }
 
-  auto parseJobs = [](const char *Value) -> unsigned {
-    return static_cast<unsigned>(
-        parseUint64OrDie("--jobs", Value, /*Max=*/UINT_MAX));
-  };
-  auto parseSimThreads = [](const char *Value) -> unsigned {
-    return static_cast<unsigned>(
-        parseUint64OrDie("--sim-threads", Value, /*Max=*/UINT_MAX));
-  };
-  auto parseWorkers = [](const char *Value) -> unsigned {
-    return static_cast<unsigned>(
-        parseUint64OrDie("--workers", Value, /*Max=*/UINT_MAX));
-  };
-  auto parseShardSize = [](const char *Value) -> unsigned {
-    return static_cast<unsigned>(
-        parseUint64OrDie("--worker-shard-size", Value, /*Max=*/UINT_MAX));
-  };
-  auto parseAdaptInterval = [](const char *Value) -> unsigned {
-    return static_cast<unsigned>(
-        parseUint64OrDie("--adapt-interval", Value, /*Max=*/UINT_MAX));
-  };
-
-  bool WorkerProtocol = false;
   for (int I = 1; I < argc; ++I) {
-    const char *Arg = argv[I];
-    if (std::strncmp(Arg, "--jobs=", 7) == 0) {
-      Config.Jobs = parseJobs(Arg + 7);
-    } else if (std::strcmp(Arg, "--jobs") == 0) {
+    const char *Value = nullptr;
+    const ExecFlag *F = matchExecFlag(argv[I], Value);
+    if (!F)
+      continue;
+    if (F->TakesValue && !Value) {
       if (I + 1 >= argc)
-        reportFatalError("--jobs needs a value");
-      Config.Jobs = parseJobs(argv[++I]);
-    } else if (std::strncmp(Arg, "--sim-threads=", 14) == 0) {
-      Config.SimThreads = parseSimThreads(Arg + 14);
-    } else if (std::strcmp(Arg, "--sim-threads") == 0) {
-      if (I + 1 >= argc)
-        reportFatalError("--sim-threads needs a value");
-      Config.SimThreads = parseSimThreads(argv[++I]);
-    } else if (std::strncmp(Arg, "--workers=", 10) == 0) {
-      Config.Workers = parseWorkers(Arg + 10);
-    } else if (std::strcmp(Arg, "--workers") == 0) {
-      if (I + 1 >= argc)
-        reportFatalError("--workers needs a value");
-      Config.Workers = parseWorkers(argv[++I]);
-    } else if (std::strncmp(Arg, "--worker-shard-size=", 20) == 0) {
-      Config.WorkerShardSize = parseShardSize(Arg + 20);
-    } else if (std::strcmp(Arg, "--worker-shard-size") == 0) {
-      if (I + 1 >= argc)
-        reportFatalError("--worker-shard-size needs a value");
-      Config.WorkerShardSize = parseShardSize(argv[++I]);
-    } else if (std::strncmp(Arg, "--adapt-interval=", 17) == 0) {
-      Config.AdaptInterval = parseAdaptInterval(Arg + 17);
-    } else if (std::strcmp(Arg, "--adapt-interval") == 0) {
-      if (I + 1 >= argc)
-        reportFatalError("--adapt-interval needs a value");
-      Config.AdaptInterval = parseAdaptInterval(argv[++I]);
-    } else if (std::strncmp(Arg, "--adapt-policy=", 15) == 0) {
-      Config.AdaptPolicy = parseAdaptPolicy("--adapt-policy", Arg + 15);
-    } else if (std::strcmp(Arg, "--adapt-policy") == 0) {
-      if (I + 1 >= argc)
-        reportFatalError("--adapt-policy needs a value");
-      Config.AdaptPolicy = parseAdaptPolicy("--adapt-policy", argv[++I]);
-    } else if (std::strcmp(Arg, "--cta-worker-protocol") == 0) {
-      WorkerProtocol = true;
-    } else if (std::strncmp(Arg, "--cache-dir=", 12) == 0) {
-      Config.CacheDir = Arg + 12;
-    } else if (std::strcmp(Arg, "--cache-dir") == 0) {
-      if (I + 1 >= argc)
-        reportFatalError("--cache-dir needs a value");
-      Config.CacheDir = argv[++I];
-    } else if (std::strcmp(Arg, "--no-timing") == 0) {
-      Config.NoTiming = true;
-    } else if (std::strncmp(Arg, "--emit-json=", 12) == 0) {
-      Config.EmitJsonPath = Arg + 12;
-    } else if (std::strcmp(Arg, "--emit-json") == 0) {
-      if (I + 1 >= argc)
-        reportFatalError("--emit-json needs a value");
-      Config.EmitJsonPath = argv[++I];
+        reportFatalError((std::string(F->Name) + " needs a value").c_str());
+      Value = argv[++I];
     }
+    F->Apply(Config, F->Name, Value);
   }
-  if (WorkerProtocol)
-    // The hidden worker entry: this process was spawned by a --workers
-    // parent (or `cta worker` forwarded the flag). It must never return
-    // into the host binary's own main logic.
-    std::exit(serve::runWorkerProtocol(Config));
   return Config;
 }
 
@@ -152,8 +136,6 @@ static serve::Service::Config toServiceConfig(const ExecConfig &C) {
   SC.CacheDir = C.CacheDir;
   SC.SkipOnShutdown = true;
   SC.SimThreads = C.SimThreads;
-  SC.Workers = C.Workers;
-  SC.WorkerShardSize = C.WorkerShardSize;
   return SC;
 }
 

@@ -6,7 +6,6 @@
 #include "serve/Json.h"
 #include "serve/Metrics.h"
 #include "serve/Shutdown.h"
-#include "serve/Worker.h"
 #include "support/ErrorHandling.h"
 #include "support/ParseNumber.h"
 
@@ -78,9 +77,6 @@ ServerOptions cta::serve::parseServeArgs(const std::vector<std::string> &Args) {
       Opts.SimThreads = static_cast<unsigned>(
           parseUint64OrDie("--sim-threads", Value.c_str(),
                            /*Max=*/UINT_MAX));
-    } else if (match("--workers", Value)) {
-      Opts.Workers = static_cast<unsigned>(
-          parseUint64OrDie("--workers", Value.c_str(), /*Max=*/UINT_MAX));
     } else if (match("--cache-dir", Value)) {
       Opts.CacheDir = Value;
     } else if (match("--max-inflight", Value)) {
@@ -145,14 +141,31 @@ struct Server::PendingRequest {
   SteadyClock::time_point Received;
   SteadyClock::time_point Dispatched;
   Service::Submission Sub;
+  /// Event-log identity; 0 when the log is off.
+  std::uint64_t TraceId = 0;
+  std::uint64_t SpanId = 0;
 };
+
+void Server::logEvent(const PendingRequest &P, const char *Name,
+                      const char *Detail, double Seconds) {
+  if (!Events)
+    return;
+  obs::Event E;
+  E.Name = Name;
+  E.TraceId = P.TraceId;
+  E.SpanId = P.SpanId;
+  E.Id = P.Id;
+  E.Client = P.Client;
+  E.Detail = Detail;
+  E.Seconds = Seconds;
+  Events->log(E);
+}
 
 //===----------------------------------------------------------------------===//
 // Lifecycle
 //===----------------------------------------------------------------------===//
 
-static Service::Config daemonServiceConfig(const ServerOptions &Opts,
-                                           obs::EventLog *Events) {
+static Service::Config daemonServiceConfig(const ServerOptions &Opts) {
   Service::Config SC;
   SC.Jobs = Opts.Jobs;
   SC.CacheDir = Opts.CacheDir;
@@ -160,20 +173,17 @@ static Service::Config daemonServiceConfig(const ServerOptions &Opts,
   // them (admission stops new work) instead of skipping.
   SC.SkipOnShutdown = false;
   SC.SimThreads = Opts.SimThreads;
-  SC.Workers = Opts.Workers;
-  SC.Events = Events;
   return SC;
 }
 
 Server::Server(ServerOptions OptsIn)
     : Opts(std::move(OptsIn)),
-      // The event log opens here, not in listen(): the Service captures
-      // the pointer at construction. An open failure is reported by
-      // listen() through EventLogError.
+      // An event-log open failure is reported by listen() through
+      // EventLogError; the constructor cannot return errors.
       Events(Opts.LogJsonPath.empty()
                  ? nullptr
                  : obs::EventLog::open(Opts.LogJsonPath, &EventLogError)),
-      Svc(daemonServiceConfig(Opts, Events.get())),
+      Svc(daemonServiceConfig(Opts)),
       Admission(Opts.MaxInflight) {
   // Pin the shared uptime epoch now: its static start point is set on the
   // first call, and without this the first stats poll would read an
@@ -440,32 +450,24 @@ void Server::handleRequest(const std::shared_ptr<Connection> &Conn,
     return;
   }
 
+  // Cold path: through admission control to the dispatcher.
+  auto P = std::make_shared<PendingRequest>(PendingRequest{
+      Conn, Req->Id, Req->Client, std::move(*Task), Received, {}, {}});
   // Request-scoped span identity, minted only for requests entering the
   // admission pipeline and only when the event log is on: telemetry-off
   // serving carries no ids anywhere.
   if (Events) {
-    Task->TraceId = obs::mintTelemetryId();
-    Task->SpanId = obs::mintTelemetryId();
+    P->TraceId = obs::mintTelemetryId();
+    P->SpanId = obs::mintTelemetryId();
   }
-
-  // Cold path: through admission control to the dispatcher.
-  auto P = std::make_shared<PendingRequest>(PendingRequest{
-      Conn, Req->Id, Req->Client, std::move(*Task), Received, {}, {}});
   AdmissionController::Admit Result =
       Admission.admit(Req->Client, [this, P] {
         P->Dispatched = SteadyClock::now();
         P->Sub = Svc.submit(P->Task);
-        if (Events) {
-          obs::Event E;
-          E.Name = P->Sub.How == Service::Tier::Coalesced ? "coalesced"
-                                                          : "dispatched";
-          E.TraceId = P->Task.TraceId;
-          E.SpanId = P->Task.SpanId;
-          E.Id = P->Id;
-          E.Client = P->Client;
-          E.Detail = Service::tierName(P->Sub.How);
-          Events->log(E);
-        }
+        logEvent(*P,
+                 P->Sub.How == Service::Tier::Coalesced ? "coalesced"
+                                                        : "dispatched",
+                 Service::tierName(P->Sub.How));
         {
           std::lock_guard<std::mutex> Lock(CompletionMutex);
           CompletionQueue.push_back(P);
@@ -475,28 +477,11 @@ void Server::handleRequest(const std::shared_ptr<Connection> &Conn,
   switch (Result) {
   case AdmissionController::Admit::Admitted:
     QueueDepth.record(Admission.inflight());
-    if (Events) {
-      obs::Event E;
-      E.Name = "admitted";
-      E.TraceId = P->Task.TraceId;
-      E.SpanId = P->Task.SpanId;
-      E.Id = P->Id;
-      E.Client = P->Client;
-      Events->log(E);
-    }
+    logEvent(*P, "admitted");
     break;
   case AdmissionController::Admit::Overloaded:
     NumShed.fetch_add(1);
-    if (Events) {
-      obs::Event E;
-      E.Name = "shed";
-      E.TraceId = P->Task.TraceId;
-      E.SpanId = P->Task.SpanId;
-      E.Id = P->Id;
-      E.Client = P->Client;
-      E.Detail = "overloaded";
-      Events->log(E);
-    }
+    logEvent(*P, "shed", "overloaded");
     writeResponse(Conn,
                   renderErrorResponse(
                       Req->Id, "overloaded",
@@ -506,16 +491,7 @@ void Server::handleRequest(const std::shared_ptr<Connection> &Conn,
                   /*IsError=*/true);
     break;
   case AdmissionController::Admit::Closed:
-    if (Events) {
-      obs::Event E;
-      E.Name = "shed";
-      E.TraceId = P->Task.TraceId;
-      E.SpanId = P->Task.SpanId;
-      E.Id = P->Id;
-      E.Client = P->Client;
-      E.Detail = "shutdown";
-      Events->log(E);
-    }
+    logEvent(*P, "shed", "shutdown");
     writeResponse(Conn,
                   renderErrorResponse(Req->Id, "shutdown",
                                       "daemon is shutting down"),
@@ -544,10 +520,6 @@ void Server::dispatcherLoop() {
       return; // closed and drained
     for (AdmissionController::Item &Dispatch : Batch)
       Dispatch();
-    // With a process transport configured, the dispatched batch is only
-    // buffered until a flush; running it here keeps batching semantics
-    // (one admission batch = one shard wave).
-    Svc.flushTransport();
   }
 }
 
@@ -569,16 +541,7 @@ void Server::completerLoop() {
     if (A.CacheStatus == "skipped") {
       // Only possible if the Service were configured to skip on shutdown;
       // the daemon drains instead, but answer correctly regardless.
-      if (Events) {
-        obs::Event E;
-        E.Name = "completed";
-        E.TraceId = P->Task.TraceId;
-        E.SpanId = P->Task.SpanId;
-        E.Id = P->Id;
-        E.Client = P->Client;
-        E.Detail = "skipped";
-        Events->log(E);
-      }
+      logEvent(*P, "completed", "skipped");
       writeResponse(P->Conn,
                     renderErrorResponse(P->Id, "shutdown",
                                         "request skipped by shutdown"),
@@ -592,17 +555,7 @@ void Server::completerLoop() {
           secondsBetween(P->Dispatched, SteadyClock::now());
       TierLatency[static_cast<int>(P->Sub.How)].record(
           latencyMicros(QueueSeconds + ServiceSeconds));
-      if (Events) {
-        obs::Event E;
-        E.Name = "completed";
-        E.TraceId = P->Task.TraceId;
-        E.SpanId = P->Task.SpanId;
-        E.Id = P->Id;
-        E.Client = P->Client;
-        E.Detail = Status;
-        E.Seconds = QueueSeconds + ServiceSeconds;
-        Events->log(E);
-      }
+      logEvent(*P, "completed", Status, QueueSeconds + ServiceSeconds);
       writeResponse(P->Conn,
                     renderOkResponse(P->Id, Status, QueueSeconds,
                                      ServiceSeconds, A),
@@ -635,8 +588,8 @@ obs::TelemetrySnapshot Server::telemetrySnapshot() {
   S.Counters["exec.sim.accesses"] = Svc.simulatedAccesses();
 
   // The grid sink aggregates every finished run's counters: the
-  // runtime.adapt.* remap activity, the engine families (sim.batch.*,
-  // sim.parallel.*) and the transport's whole-family exec.worker.* totals.
+  // runtime.adapt.* remap activity and the engine families (sim.batch.*,
+  // sim.parallel.*).
   for (const auto &[Name, Value] : Svc.gridSink().snapshot())
     S.Counters[Name] = Value;
 
@@ -657,20 +610,5 @@ obs::TelemetrySnapshot Server::telemetrySnapshot() {
   S.Gauges["serve.inflight"] = static_cast<double>(Admission.inflight());
   S.Gauges["serve.warm_index.entries"] =
       static_cast<double>(Svc.warmIndexSize());
-
-  // Per-worker transport health. The only Transport a Service ever puts
-  // behind remoteTransport() is the ProcessTransport.
-  if (Transport *T = Svc.remoteTransport()) {
-    auto *PT = static_cast<ProcessTransport *>(T);
-    std::vector<ProcessTransport::WorkerStats> WS = PT->workerStats();
-    for (std::size_t I = 0; I != WS.size(); ++I) {
-      const std::string P = "exec.worker." + std::to_string(I) + ".";
-      S.Counters[P + "shards_run"] = WS[I].ShardsRun;
-      S.Counters[P + "shards_stolen"] = WS[I].ShardsStolen;
-      S.Counters[P + "shards_retried"] = WS[I].ShardsRetried;
-      S.Counters[P + "respawns"] = WS[I].Respawns;
-      S.Gauges[P + "alive"] = WS[I].Alive ? 1.0 : 0.0;
-    }
-  }
   return S;
 }

@@ -62,7 +62,6 @@ struct ServerOptions {
   std::string SocketPath;
   unsigned Jobs = 0;          ///< Service worker threads (0 = hardware).
   unsigned SimThreads = 1;    ///< Engine threads per cold miss (1 = seq).
-  unsigned Workers = 0;       ///< Worker subprocesses (0 = in-process).
   std::string CacheDir;       ///< Persistent RunCache directory.
   std::size_t MaxInflight = 64;
   std::size_t MaxBatch = 32;
@@ -71,15 +70,15 @@ struct ServerOptions {
   /// (0 = kernel-assigned; the daemon prints the bound port on startup).
   bool MetricsEnabled = false;
   unsigned MetricsPort = 0;
-  /// --log-json=FILE: append one cta-serve-event-v1 line per request and
-  /// shard lifecycle transition. Empty disables the event log.
+  /// --log-json=FILE: append one cta-serve-event-v1 line per request
+  /// lifecycle transition. Empty disables the event log.
   std::string LogJsonPath;
 };
 
 /// Parses `cta serve` arguments: --socket=PATH, --max-inflight=N,
 /// --max-batch=N, --batch-window-ms=N, --metrics-port=N, --log-json=FILE
 /// (strict decimal via support/ParseNumber; malformed values abort), plus
-/// the exec flags --jobs / --sim-threads / --workers / --cache-dir.
+/// the exec flags --jobs / --sim-threads / --cache-dir.
 /// Aborts on unknown flags or a missing --socket.
 ServerOptions parseServeArgs(const std::vector<std::string> &Args);
 
@@ -127,10 +126,9 @@ public:
   const ServerOptions &options() const { return Opts; }
 
   /// Assembles one live cross-subsystem snapshot: serve counters, per-tier
-  /// latency and queue-depth histograms, Service/RunCache totals, the grid
-  /// sink's counter families (exec.worker.*, runtime.adapt.*, sim.*) and
-  /// per-worker transport health. Thread-safe; called by stats frames and
-  /// the /metrics endpoint.
+  /// latency and queue-depth histograms, Service/RunCache totals and the
+  /// grid sink's counter families (runtime.adapt.*, sim.*). Thread-safe;
+  /// called by stats frames and the /metrics endpoint.
   obs::TelemetrySnapshot telemetrySnapshot();
 
   /// The bound /metrics port (resolves MetricsPort == 0); 0 when the
@@ -154,13 +152,15 @@ private:
   /// frames alone).
   void writeFrameTo(const std::shared_ptr<Connection> &Conn,
                     const std::string &Payload);
+  /// Appends one lifecycle line for \p P to the event log, if it is on.
+  void logEvent(const PendingRequest &P, const char *Name,
+                const char *Detail = "", double Seconds = -1.0);
 
   ServerOptions Opts;
   /// Why the event log failed to open (reported by listen(); the ctor
   /// cannot return errors). Declared before Events, which fills it.
   std::string EventLogError;
-  /// The opt-in structured event log. Declared before Svc so it outlives
-  /// the transports that append to it during teardown.
+  /// The opt-in structured event log.
   std::unique_ptr<obs::EventLog> Events;
   Service Svc;
   AdmissionController Admission;
@@ -181,7 +181,7 @@ private:
   std::atomic<std::uint64_t> NumRequests{0}, NumOk{0}, NumErrors{0},
       NumShed{0}, NumWarm{0}, NumConnections{0};
 
-  // Telemetry plane. Lives entirely at the Server/transport level and
+  // Telemetry plane. Lives entirely at the Server level and
   // never touches run sinks, so artifacts stay deterministic with
   // telemetry on or off.
   static constexpr std::size_t NumTiers = 6; ///< Service::Tier values.

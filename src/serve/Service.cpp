@@ -4,7 +4,6 @@
 
 #include "exec/Fingerprint.h"
 #include "serve/Shutdown.h"
-#include "serve/Worker.h"
 
 using namespace cta;
 using namespace cta::serve;
@@ -13,15 +12,8 @@ obs::RunArtifact cta::serve::makeRunArtifact(const RunTask &Task,
                                              std::uint64_t Key,
                                              const char *CacheStatus,
                                              const RunResult &R) {
-  return makeRunArtifact(Task.Label, Key, CacheStatus, R);
-}
-
-obs::RunArtifact cta::serve::makeRunArtifact(const std::string &Label,
-                                             std::uint64_t Key,
-                                             const char *CacheStatus,
-                                             const RunResult &R) {
   obs::RunArtifact A;
-  A.Label = Label;
+  A.Label = Task.Label;
   A.Fingerprint = toHexDigest(Key);
   A.CacheStatus = CacheStatus;
   A.Cycles = R.Cycles;
@@ -99,35 +91,6 @@ Service::Service(Config C)
     Cfg.Jobs = ThreadPool::defaultThreadCount();
   if (Cfg.Jobs > 1)
     Pool = std::make_unique<ThreadPool>(Cfg.Jobs);
-
-  // The transport seam: cold tasks reach a simulator through exactly one
-  // of these. The shutdown predicate is injected so the transports (which
-  // live below the signal-handling layer) stay signal-agnostic.
-  auto ShouldSkip = [this] {
-    return Cfg.SkipOnShutdown && shutdownRequested();
-  };
-  Local = std::make_unique<LocalTransport>(
-      Pool.get(), [this](const RunTask &Task) { return execute(Task); },
-      ShouldSkip);
-  if (Cfg.Workers > 0) {
-    ProcessTransport::Options PO;
-    PO.Workers = Cfg.Workers;
-    PO.ShardSize = Cfg.WorkerShardSize;
-    PO.CacheDir = Cfg.CacheDir;
-    PO.SimThreads = Cfg.SimThreads;
-    PO.WorkerExe = Cfg.WorkerExe;
-    PO.RollupSink = &GridSink;
-    // Worker-side simulator totals roll into the parent's accounting, so
-    // an artifact's [exec] line is the same at every worker count.
-    PO.OnWorkerStats = [this](std::uint64_t Invocations,
-                              std::uint64_t Accesses) {
-      SimInvocations.fetch_add(Invocations, std::memory_order_relaxed);
-      SimAccesses.fetch_add(Accesses, std::memory_order_relaxed);
-    };
-    PO.ShouldSkip = ShouldSkip;
-    PO.Events = Cfg.Events;
-    Remote = std::make_unique<ProcessTransport>(std::move(PO));
-  }
 }
 
 Service::~Service() { drain(); }
@@ -201,41 +164,33 @@ void Service::finish(std::uint64_t Key,
 
 void Service::scheduleExecute(RunTask Task, std::uint64_t Key,
                               std::shared_ptr<Inflight> State, bool Bypass) {
-  // Bypass (traced) tasks always execute in-process: their value is the
-  // event stream flowing into the caller's TraceSink, which cannot cross a
-  // process boundary.
-  Transport &T = (!Bypass && Remote) ? *Remote : *Local;
-  std::string Label = Task.Label;
-  T.execute(std::move(Task), Key,
-            [this, Key, State = std::move(State), Bypass,
-             Label = std::move(Label)](std::optional<RunResult> R) {
-              auto Out = std::make_shared<TaskOutcome>();
-              // Cooperative shutdown: work that had not started is
-              // skipped, so an interrupted process never reports
-              // half-simulated results.
-              if (!R) {
-                Interrupted.store(true, std::memory_order_relaxed);
-                Out->Artifact =
-                    makeRunArtifact(Label, Key, "skipped", Out->Result);
-                finish(Key, State, std::move(Out), /*Index=*/false);
-                return;
-              }
-              Out->Result = std::move(*R);
-              if (Bypass) {
-                Out->Artifact =
-                    makeRunArtifact(Label, Key, "bypass", Out->Result);
-                finish(Key, State, std::move(Out), /*Index=*/false);
-                return;
-              }
-              // For the process transport this re-store into the parent's
-              // cache is a benign double-write of the worker's entry (the
-              // multi-process-safety contract RunCache documents).
-              Cache.store(Key, Out->Result);
-              Out->Artifact = makeRunArtifact(
-                  Label, Key, Cache.enabled() ? "miss" : "disabled",
-                  Out->Result);
-              finish(Key, State, std::move(Out), /*Index=*/true);
-            });
+  auto Work = [this, Task = std::move(Task), Key, State = std::move(State),
+               Bypass] {
+    auto Out = std::make_shared<TaskOutcome>();
+    // Cooperative shutdown, checked when the task is dequeued: work that
+    // had not started is skipped, so an interrupted process never reports
+    // half-simulated results.
+    if (Cfg.SkipOnShutdown && shutdownRequested()) {
+      Interrupted.store(true, std::memory_order_relaxed);
+      Out->Artifact = makeRunArtifact(Task, Key, "skipped", Out->Result);
+      finish(Key, State, std::move(Out), /*Index=*/false);
+      return;
+    }
+    Out->Result = execute(Task);
+    if (Bypass) {
+      Out->Artifact = makeRunArtifact(Task, Key, "bypass", Out->Result);
+      finish(Key, State, std::move(Out), /*Index=*/false);
+      return;
+    }
+    Cache.store(Key, Out->Result);
+    Out->Artifact = makeRunArtifact(
+        Task, Key, Cache.enabled() ? "miss" : "disabled", Out->Result);
+    finish(Key, State, std::move(Out), /*Index=*/true);
+  };
+  if (Pool)
+    Pool->submit(std::move(Work));
+  else
+    Work();
 }
 
 Service::Submission Service::submit(const RunTask &Task) {
@@ -302,9 +257,7 @@ TaskOutcome Service::collect(const Submission &Sub,
 }
 
 TaskOutcome Service::runOne(const RunTask &Task) {
-  Submission Sub = submit(Task);
-  flushTransport();
-  return collect(Sub, Task);
+  return collect(submit(Task), Task);
 }
 
 std::vector<TaskOutcome>
@@ -313,9 +266,6 @@ Service::runBatch(const std::vector<RunTask> &Tasks) {
   Subs.reserve(Tasks.size());
   for (const RunTask &T : Tasks)
     Subs.push_back(submit(T));
-  // The whole batch is submitted before the transport flushes, so the
-  // process transport shards over the full cold set at once.
-  flushTransport();
   std::vector<TaskOutcome> Outcomes;
   Outcomes.reserve(Tasks.size());
   for (std::size_t I = 0; I != Tasks.size(); ++I)
@@ -323,13 +273,7 @@ Service::runBatch(const std::vector<RunTask> &Tasks) {
   return Outcomes;
 }
 
-void Service::flushTransport() {
-  if (Remote)
-    Remote->flush();
-}
-
 void Service::drain() {
-  flushTransport();
   std::unique_lock<std::mutex> Lock(DrainMutex);
   DrainCV.wait(Lock, [this] {
     return Outstanding.load(std::memory_order_acquire) == 0;

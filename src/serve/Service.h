@@ -35,8 +35,6 @@
 
 #include "exec/RunCache.h"
 #include "exec/RunTask.h"
-#include "exec/Transport.h"
-#include "obs/EventLog.h"
 #include "obs/RunArtifact.h"
 #include "support/ThreadPool.h"
 
@@ -65,11 +63,6 @@ struct TaskOutcome {
 obs::RunArtifact makeRunArtifact(const RunTask &Task, std::uint64_t Key,
                                  const char *CacheStatus, const RunResult &R);
 
-/// Same, labeled directly (transport completions own the label but not the
-/// task, which was moved into the transport).
-obs::RunArtifact makeRunArtifact(const std::string &Label, std::uint64_t Key,
-                                 const char *CacheStatus, const RunResult &R);
-
 class Service {
 public:
   struct Config {
@@ -90,19 +83,6 @@ public:
     /// the fingerprint — warm/cached answers are valid across settings.
     /// Cold misses lend the service's own pool to the engine.
     unsigned SimThreads = 1;
-    /// Worker subprocesses for cold work (`--workers N`). 0 = in-process
-    /// execution (LocalTransport, the historical path); N > 0 shards cold
-    /// tasks across N spawned worker processes (serve::ProcessTransport)
-    /// with results deterministicBytes-identical to Workers == 0.
-    unsigned Workers = 0;
-    /// Tasks per worker shard; 0 = auto (~batch/(4*Workers), in [1, 16]).
-    unsigned WorkerShardSize = 0;
-    /// Worker executable override; empty re-executes /proc/self/exe.
-    std::string WorkerExe;
-    /// Event log the multi-process transport appends shard lifecycle and
-    /// forwarded worker-side events to (obs/EventLog.h). Not owned; must
-    /// outlive the Service. Null (the default) disables shard events.
-    obs::EventLog *Events = nullptr;
   };
 
   /// How a submission was satisfied, in ladder order.
@@ -128,9 +108,6 @@ public:
 
   /// Worker threads actually in use (resolves Jobs == 0).
   unsigned jobs() const { return Cfg.Jobs; }
-
-  /// Worker subprocesses in use; 0 means in-process execution.
-  unsigned workers() const { return Cfg.Workers; }
 
   /// The underlying pool; null when running inline with Jobs == 1.
   ThreadPool *pool() { return Pool.get(); }
@@ -158,11 +135,6 @@ public:
 
   /// Entries currently answerable from memory (tests/inspection).
   std::size_t warmIndexSize() const;
-
-  /// The multi-process transport, when Workers > 0; null otherwise. The
-  /// stats plane polls its per-worker counters (serve::ProcessTransport);
-  /// typed as Transport to keep Worker.h out of this header.
-  Transport *remoteTransport() { return Remote.get(); }
 
   /// The outcome for \p Key if it is in the warm index; null otherwise.
   /// Side-effect free (no disk lookup, no counters): the daemon's reader
@@ -194,13 +166,6 @@ public:
   /// Blocks until every previously submitted task has completed.
   void drain();
 
-  /// Makes transport-buffered cold work progress (the process transport
-  /// buffers submissions into shards and runs them here, on the calling
-  /// thread). No-op for the local transport or when nothing is buffered.
-  /// Batch helpers and drain() call it; callers that submit() directly and
-  /// then block on futures must call it first.
-  void flushTransport();
-
 private:
   struct Inflight;
 
@@ -212,7 +177,6 @@ private:
 
   Config Cfg;
   RunCache Cache;
-  std::unique_ptr<ThreadPool> Pool; // null when Jobs == 1
   std::atomic<std::uint64_t> SimInvocations{0};
   std::atomic<std::uint64_t> SimAccesses{0};
   std::atomic<bool> Interrupted{false};
@@ -227,13 +191,10 @@ private:
   std::mutex DrainMutex;
   std::condition_variable DrainCV;
 
-  // Declared last: transport destructors flush pending completions, which
-  // touch the cache, sinks, and drain accounting above.
-  /// The in-process path (always present; bypass/traced tasks use it even
-  /// when Remote is configured).
-  std::unique_ptr<Transport> Local;
-  /// The multi-process path; non-null iff Cfg.Workers > 0.
-  std::unique_ptr<Transport> Remote;
+  /// Null when Jobs == 1. Declared last so it is destroyed first: its
+  /// destructor joins the pool threads, and a thread can still be inside
+  /// finish(), touching DrainMutex, when drain() returns.
+  std::unique_ptr<ThreadPool> Pool;
 };
 
 } // namespace cta::serve

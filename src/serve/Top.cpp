@@ -248,29 +248,6 @@ void render(const JsonValue &Doc, const TopOptions &Opts,
                   counterOf(Doc, "serve.cache.stores")),
               Ratio);
 
-  // Per-worker health rows exist only when the daemon runs --workers N.
-  bool AnyWorker = false;
-  for (unsigned W = 0;; ++W) {
-    const std::string P = "exec.worker." + std::to_string(W) + ".";
-    const JsonValue *Counters = Doc.get("counters");
-    if (!Counters || !Counters->get(P + "shards_run"))
-      break;
-    if (!AnyWorker)
-      std::printf("\n");
-    AnyWorker = true;
-    std::printf("worker %-6u %s   shards %llu   stolen %llu   retried "
-                "%llu   respawns %llu\n",
-                W, gaugeOf(Doc, P + "alive") != 0.0 ? "alive" : "down ",
-                static_cast<unsigned long long>(
-                    counterOf(Doc, P + "shards_run")),
-                static_cast<unsigned long long>(
-                    counterOf(Doc, P + "shards_stolen")),
-                static_cast<unsigned long long>(
-                    counterOf(Doc, P + "shards_retried")),
-                static_cast<unsigned long long>(
-                    counterOf(Doc, P + "respawns")));
-  }
-
   const std::uint64_t AdaptRounds = counterOf(Doc, "runtime.adapt.rounds");
   if (AdaptRounds) {
     std::printf("\nadaptive     rounds %llu   remaps %llu (%.2f/s)   "

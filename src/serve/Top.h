@@ -8,8 +8,7 @@
 /// `cta top`: connects to a running daemon's Unix socket, polls
 /// cta-serve-stats-v1 frames on an interval, and renders a refreshing
 /// terminal dashboard — tier throughput and latency percentiles, inflight
-/// and shed counts, RunCache hit ratio, per-worker health, and adaptive
-/// remap activity. Rates are deltas between successive snapshots; the
+/// and shed counts, RunCache hit ratio, and adaptive remap activity. Rates are deltas between successive snapshots; the
 /// first frame shows lifetime averages.
 ///
 /// The dashboard is read-only and uses the same socket as requests, so

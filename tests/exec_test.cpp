@@ -649,64 +649,6 @@ TEST(ExperimentRunnerDeathTest, RejectsMalformedSimThreadsEnv) {
   ::unsetenv("CTA_SIM_THREADS");
 }
 
-TEST(ExperimentRunnerTest, ParseWorkersForms) {
-  {
-    const char *Argv[] = {"bench"};
-    ExecConfig C = parseExecArgs(1, const_cast<char **>(Argv));
-    EXPECT_EQ(C.Workers, 0u); // default: in-process execution
-    EXPECT_EQ(C.WorkerShardSize, 0u); // default: auto shard size
-  }
-  {
-    const char *Argv[] = {"bench", "--workers=3",
-                          "--worker-shard-size=2"};
-    ExecConfig C = parseExecArgs(3, const_cast<char **>(Argv));
-    EXPECT_EQ(C.Workers, 3u);
-    EXPECT_EQ(C.WorkerShardSize, 2u);
-  }
-  {
-    const char *Argv[] = {"bench", "--workers", "4", "--worker-shard-size",
-                          "8"};
-    ExecConfig C = parseExecArgs(5, const_cast<char **>(Argv));
-    EXPECT_EQ(C.Workers, 4u);
-    EXPECT_EQ(C.WorkerShardSize, 8u);
-  }
-  {
-    const char *Argv[] = {"bench"};
-    ::setenv("CTA_WORKERS", "2", 1);
-    ::setenv("CTA_WORKER_SHARD_SIZE", "5", 1);
-    ExecConfig C = parseExecArgs(1, const_cast<char **>(Argv));
-    ::unsetenv("CTA_WORKERS");
-    ::unsetenv("CTA_WORKER_SHARD_SIZE");
-    EXPECT_EQ(C.Workers, 2u);
-    EXPECT_EQ(C.WorkerShardSize, 5u);
-  }
-  {
-    // The flag overrides the environment — crucially including
-    // --workers=0: a spawned worker is launched with an explicit
-    // --workers=0 so an inherited CTA_WORKERS cannot make workers spawn
-    // workers recursively.
-    const char *Argv[] = {"bench", "--workers=0"};
-    ::setenv("CTA_WORKERS", "7", 1);
-    ExecConfig C = parseExecArgs(2, const_cast<char **>(Argv));
-    ::unsetenv("CTA_WORKERS");
-    EXPECT_EQ(C.Workers, 0u);
-  }
-}
-
-TEST(ExperimentRunnerDeathTest, RejectsMalformedWorkers) {
-  // Same strict-decimal contract as --jobs / --sim-threads.
-  const char *Suffix[] = {"bench", "--workers=4x"};
-  EXPECT_DEATH(parseExecArgs(2, const_cast<char **>(Suffix)), "--workers");
-  const char *Garbage[] = {"bench", "--workers=auto"};
-  EXPECT_DEATH(parseExecArgs(2, const_cast<char **>(Garbage)), "--workers");
-  const char *Negative[] = {"bench", "--workers=-1"};
-  EXPECT_DEATH(parseExecArgs(2, const_cast<char **>(Negative)), "--workers");
-  const char *Overflow[] = {"bench", "--workers=99999999999999999999"};
-  EXPECT_DEATH(parseExecArgs(2, const_cast<char **>(Overflow)), "--workers");
-  const char *Missing[] = {"bench", "--workers"};
-  EXPECT_DEATH(parseExecArgs(2, const_cast<char **>(Missing)), "--workers");
-}
-
 TEST(ExperimentRunnerDeathTest, RejectsMalformedTelemetryServeFlags) {
   // The serve daemon's telemetry flags share the strict-decimal contract:
   // --metrics-port is a 16-bit port, --log-json needs a path.
@@ -721,17 +663,8 @@ TEST(ExperimentRunnerDeathTest, RejectsMalformedTelemetryServeFlags) {
                "--log-json");
 }
 
-TEST(ExperimentRunnerDeathTest, RejectsMalformedWorkerShardSize) {
-  const char *Suffix[] = {"bench", "--worker-shard-size=2x"};
-  EXPECT_DEATH(parseExecArgs(2, const_cast<char **>(Suffix)),
-               "--worker-shard-size");
-  const char *Missing[] = {"bench", "--worker-shard-size"};
-  EXPECT_DEATH(parseExecArgs(2, const_cast<char **>(Missing)),
-               "--worker-shard-size");
-}
-
 TEST(ExperimentRunnerDeathTest, RejectsMalformedAdaptInterval) {
-  // Same strict-decimal contract as --jobs / --workers.
+  // Same strict-decimal contract as --jobs / --sim-threads.
   const char *Suffix[] = {"bench", "--adapt-interval=4x"};
   EXPECT_DEATH(parseExecArgs(2, const_cast<char **>(Suffix)),
                "--adapt-interval");
@@ -778,15 +711,21 @@ TEST(ExperimentRunnerTest, ParsesAdaptFlags) {
   EXPECT_EQ(C.AdaptPolicy, "mw");
 }
 
-TEST(ExperimentRunnerDeathTest, RejectsMalformedWorkersEnv) {
-  const char *Argv[] = {"bench"};
-  ::setenv("CTA_WORKERS", "3x", 1);
-  EXPECT_DEATH(parseExecArgs(1, const_cast<char **>(Argv)), "CTA_WORKERS");
-  ::unsetenv("CTA_WORKERS");
-  ::setenv("CTA_WORKER_SHARD_SIZE", "x", 1);
-  EXPECT_DEATH(parseExecArgs(1, const_cast<char **>(Argv)),
-               "CTA_WORKER_SHARD_SIZE");
-  ::unsetenv("CTA_WORKER_SHARD_SIZE");
+TEST(ExperimentRunnerTest, ClassifyExecFlagMatchesTheParser) {
+  EXPECT_EQ(classifyExecFlag("--jobs"), ExecFlagForm::ValueFollows);
+  EXPECT_EQ(classifyExecFlag("--jobs=2"), ExecFlagForm::Complete);
+  EXPECT_EQ(classifyExecFlag("--emit-json"), ExecFlagForm::ValueFollows);
+  EXPECT_EQ(classifyExecFlag("--adapt-policy=mw"), ExecFlagForm::Complete);
+  EXPECT_EQ(classifyExecFlag("--no-timing"), ExecFlagForm::Complete);
+  EXPECT_EQ(classifyExecFlag("--no-timing=1"), ExecFlagForm::None);
+  EXPECT_EQ(classifyExecFlag("--jobsx"), ExecFlagForm::None);
+  EXPECT_EQ(classifyExecFlag("--machine"), ExecFlagForm::None);
+
+  // Flags the table does not name pass through parseExecArgs untouched,
+  // so the value after them is not consumed either.
+  const char *Argv[] = {"bench", "--machine", "--jobs=3"};
+  ExecConfig C = parseExecArgs(3, const_cast<char **>(Argv));
+  EXPECT_EQ(C.Jobs, 3u);
 }
 
 } // namespace

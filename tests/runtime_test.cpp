@@ -7,13 +7,9 @@
 // executor's win over the static mapping on a degraded machine (and its
 // within-noise behaviour on a uniform one), the fallback on dependence
 // workloads, the fingerprint extensions, and byte-identical determinism
-// across --jobs and --workers counts. The --jobs sweep doubles as the
-// thread-sanitizer stress case: every adaptive task runs concurrently
-// under its own run sink, bumping the shared runtime.adapt.* counters.
-//
-// Provides its own main() (worker_test pattern): argv routes through
-// parseExecArgs first so --cta-worker-protocol re-execution turns the
-// binary into a worker for the --workers determinism test.
+// across --jobs counts. The --jobs sweep doubles as the thread-sanitizer
+// stress case: every adaptive task runs concurrently under its own run
+// sink, bumping the shared runtime.adapt.* counters.
 //
 //===----------------------------------------------------------------------===//
 
@@ -32,15 +28,6 @@
 #include <cstdint>
 #include <string>
 #include <vector>
-
-#if defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define CTA_UNDER_TSAN 1
-#endif
-#endif
-#if !defined(CTA_UNDER_TSAN) && defined(__SANITIZE_THREAD__)
-#define CTA_UNDER_TSAN 1
-#endif
 
 using namespace cta;
 using namespace cta::runtime;
@@ -413,11 +400,9 @@ GridSpec adaptiveGrid() {
   return Spec;
 }
 
-std::vector<std::string> runGridBytes(const GridSpec &Spec, unsigned Jobs,
-                                      unsigned Workers = 0) {
+std::vector<std::string> runGridBytes(const GridSpec &Spec, unsigned Jobs) {
   ExecConfig Config;
   Config.Jobs = Jobs;
-  Config.Workers = Workers;
   ExperimentRunner Runner(Config);
   std::vector<std::string> Out;
   for (const RunResult &R : Runner.run(Spec))
@@ -442,31 +427,4 @@ TEST(AdaptiveDeterminismTest, JobsCountNeverChangesResults) {
   }
 }
 
-TEST(AdaptiveDeterminismTest, WorkerShardingNeverChangesResults) {
-#ifdef CTA_UNDER_TSAN
-  GTEST_SKIP() << "TSan cannot follow fork+exec worker subprocesses";
-#else
-  // The degraded machine rides the worker wire too: per-node speed is part
-  // of the shard frame, so a worker process reconstructs the exact
-  // topology and the adaptive run is byte-identical to in-process.
-  GridSpec Spec = adaptiveGrid();
-  const std::vector<std::string> Baseline =
-      runGridBytes(Spec, /*Jobs=*/1, /*Workers=*/0);
-  std::vector<std::string> Got =
-      runGridBytes(Spec, /*Jobs=*/1, /*Workers=*/2);
-  ASSERT_EQ(Got.size(), Baseline.size());
-  for (std::size_t I = 0; I != Baseline.size(); ++I)
-    EXPECT_EQ(Got[I], Baseline[I]) << "--workers 2 grid slot " << I;
-#endif
-}
-
 } // namespace
-
-int main(int argc, char **argv) {
-  // Route argv through parseExecArgs BEFORE gtest: when ProcessTransport
-  // re-executes this binary with --cta-worker-protocol, parseExecArgs
-  // turns it into a worker process and never returns.
-  (void)cta::parseExecArgs(argc, argv);
-  ::testing::InitGoogleTest(&argc, argv);
-  return RUN_ALL_TESTS();
-}

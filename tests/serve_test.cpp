@@ -604,6 +604,18 @@ TEST(ServeFlagsDeathTest, TelemetryFlagsParseStrictly) {
   EXPECT_DEATH(parseServeArgs({"--socket", "s", "--log-json"}), "--log-json");
 }
 
+TEST(ServeFlagsDeathTest, RemovedMultiProcessFlagsAreUnknown) {
+  // The multi-process worker flags are gone; the daemon must reject them
+  // rather than silently run in-process.
+  for (const char *Removed : {"workers", "worker-shard-size"}) {
+    const std::string Flag = std::string("--") + Removed;
+    EXPECT_DEATH(parseServeArgs({"--socket", "s", Flag, "2"}),
+                 "unknown `cta serve` flag '" + Flag + "'");
+    EXPECT_DEATH(parseServeArgs({"--socket", "s", Flag + "=2"}),
+                 "unknown `cta serve` flag");
+  }
+}
+
 TEST(ServeFlagsTest, TelemetryFlagsParse) {
   ServerOptions Opts = parseServeArgs(
       {"--socket=/tmp/s", "--metrics-port=9090", "--log-json=/tmp/e.jsonl"});

@@ -7,12 +7,8 @@
 // (the thread-sanitizer CI job runs this binary), the cta-serve-stats-v1
 // and Prometheus renderings byte-for-byte, event-log line formatting and
 // field elision, and — end to end against a live daemon — that stats
-// frames are polls (not requests) and that trace_id/span_id propagate
-// through a real --workers round trip into one cross-process span tree.
-//
-// Provides its own main() (worker_test pattern): argv routes through
-// parseExecArgs first so --cta-worker-protocol re-execution turns the
-// binary into a worker for the cross-process propagation test.
+// frames are polls (not requests) and that one trace_id/span_id pair ties
+// a cold request's admitted, dispatched and completed events together.
 //
 //===----------------------------------------------------------------------===//
 
@@ -22,8 +18,6 @@
 #include "serve/Protocol.h"
 #include "serve/Server.h"
 #include "serve/Shutdown.h"
-
-#include "exec/ExperimentRunner.h"
 
 #include <gtest/gtest.h>
 
@@ -41,15 +35,6 @@
 #include <map>
 #include <thread>
 #include <vector>
-
-#if defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define CTA_UNDER_TSAN 1
-#endif
-#endif
-#if !defined(CTA_UNDER_TSAN) && defined(__SANITIZE_THREAD__)
-#define CTA_UNDER_TSAN 1
-#endif
 
 using namespace cta;
 using namespace cta::obs;
@@ -225,7 +210,6 @@ TEST(EventLogTest, FormatLineEmitsSetFieldsAndElidesDefaults) {
   E.SpanId = 0x42;
   E.Id = "r1";
   E.Detail = "miss";
-  E.Shard = 3;
   std::string Line = EventLog::formatLine(E, /*Pid=*/777);
 
   std::string Err;
@@ -239,11 +223,8 @@ TEST(EventLogTest, FormatLineEmitsSetFieldsAndElidesDefaults) {
   EXPECT_EQ(Doc->get("span_id")->asString(), "0000000000000042");
   EXPECT_EQ(Doc->get("id")->asString(), "r1");
   EXPECT_EQ(Doc->get("detail")->asString(), "miss");
-  EXPECT_EQ(Doc->get("shard")->asNumber(), 3.0);
   // Unset fields are elided, not emitted as zeros.
-  EXPECT_EQ(Doc->get("parent_span_id"), nullptr);
   EXPECT_EQ(Doc->get("client"), nullptr);
-  EXPECT_EQ(Doc->get("worker"), nullptr);
   EXPECT_EQ(Doc->get("seconds"), nullptr);
 }
 
@@ -262,7 +243,7 @@ TEST(EventLogTest, OpenFailureNamesThePath) {
 }
 
 //===----------------------------------------------------------------------===//
-// Live daemon: stats frames and cross-process span propagation
+// Live daemon: stats frames and request trace ids
 //===----------------------------------------------------------------------===//
 
 class DaemonTest : public ::testing::Test {
@@ -284,13 +265,12 @@ protected:
     std::filesystem::create_directories(Dir);
   }
 
-  void startDaemon(unsigned Workers, bool WithEventLog) {
+  void startDaemon(bool WithEventLog) {
     serve::installShutdownSignalHandlers();
     serve::resetShutdownForTest();
     serve::ServerOptions Opts;
     Opts.SocketPath = Dir + "/daemon.sock";
     Opts.Jobs = 2;
-    Opts.Workers = Workers;
     Opts.CacheDir = Dir + "/cache";
     if (WithEventLog)
       Opts.LogJsonPath = Dir + "/events.jsonl";
@@ -358,7 +338,7 @@ protected:
 };
 
 TEST_F(DaemonTest, StatsFramesArePollsNotRequests) {
-  startDaemon(/*Workers=*/0, /*WithEventLog=*/false);
+  startDaemon(/*WithEventLog=*/false);
   int Fd = connect();
   ASSERT_GE(Fd, 0);
 
@@ -409,7 +389,7 @@ TEST_F(DaemonTest, StatsFramesArePollsNotRequests) {
 }
 
 TEST_F(DaemonTest, ServerLatencySplitAgreesWithClientWall) {
-  startDaemon(/*Workers=*/0, /*WithEventLog=*/false);
+  startDaemon(/*WithEventLog=*/false);
   int Fd = connect();
   ASSERT_GE(Fd, 0);
 
@@ -432,11 +412,8 @@ TEST_F(DaemonTest, ServerLatencySplitAgreesWithClientWall) {
   ::close(Fd);
 }
 
-TEST_F(DaemonTest, TraceIdsPropagateAcrossWorkerRoundTrip) {
-#ifdef CTA_UNDER_TSAN
-  GTEST_SKIP() << "fork+exec worker transport is not TSan-instrumentable";
-#else
-  startDaemon(/*Workers=*/2, /*WithEventLog=*/true);
+TEST_F(DaemonTest, TraceIdsJoinTheRequestLifecycle) {
+  startDaemon(/*WithEventLog=*/true);
   int Fd = connect();
   ASSERT_GE(Fd, 0);
   serve::JsonValue Cold = sendRecv(Fd, minimalRequest(",\"id\":\"r1\""));
@@ -445,64 +422,36 @@ TEST_F(DaemonTest, TraceIdsPropagateAcrossWorkerRoundTrip) {
   ::close(Fd);
   stopDaemon(); // drains and flushes the event log
 
-  // Reassemble the request's span tree from the log.
   std::ifstream In(Dir + "/events.jsonl");
   ASSERT_TRUE(In.is_open());
-  std::string TraceId, RequestSpan;
-  double ParentPid = -1;
-  std::vector<serve::JsonValue> Events;
+  std::map<std::string, std::pair<std::string, std::string>> Ids;
+  std::map<std::string, int> Names;
   for (std::string Line; std::getline(In, Line);) {
     std::string Err;
     std::optional<serve::JsonValue> Doc = serve::parseJson(Line, &Err);
     ASSERT_TRUE(Doc.has_value()) << Err << " in: " << Line;
     EXPECT_EQ(Doc->get("schema")->asString(), "cta-serve-event-v1");
-    if (Doc->get("event")->asString() == "admitted" &&
-        Doc->get("id")->asString() == "r1") {
-      TraceId = Doc->get("trace_id")->asString();
-      RequestSpan = Doc->get("span_id")->asString();
-      ParentPid = Doc->get("pid")->asNumber();
+    const std::string Name = Doc->get("event")->asString();
+    ++Names[Name];
+    ASSERT_NE(Doc->get("id"), nullptr) << Line;
+    EXPECT_EQ(Doc->get("id")->asString(), "r1");
+    ASSERT_NE(Doc->get("trace_id"), nullptr) << Line;
+    ASSERT_NE(Doc->get("span_id"), nullptr) << Line;
+    Ids[Name] = {Doc->get("trace_id")->asString(),
+                 Doc->get("span_id")->asString()};
+    if (Name == "completed") {
+      EXPECT_GE(Doc->get("seconds")->asNumber(-1), 0.0);
     }
-    Events.push_back(*Doc);
   }
-  ASSERT_FALSE(TraceId.empty()) << "no admitted event for r1";
 
-  // The worker-side task_completed joins the parent's tree: same
-  // trace_id, parent_span_id naming the request's span, a different pid
-  // (it really crossed a process boundary), and a span duration.
-  bool FoundWorkerSpan = false;
-  std::map<std::string, int> Names;
-  for (const serve::JsonValue &E : Events) {
-    ++Names[E.get("event")->asString()];
-    if (E.get("event")->asString() != "task_completed")
-      continue;
-    ASSERT_NE(E.get("trace_id"), nullptr);
-    if (E.get("trace_id")->asString() != TraceId)
-      continue;
-    FoundWorkerSpan = true;
-    EXPECT_EQ(E.get("parent_span_id")->asString(), RequestSpan);
-    EXPECT_NE(E.get("pid")->asNumber(), ParentPid);
-    EXPECT_GE(E.get("seconds")->asNumber(-1), 0.0);
-  }
-  EXPECT_TRUE(FoundWorkerSpan)
-      << "no worker-side task_completed joined trace " << TraceId;
-
-  // The request lifecycle is complete: admitted -> dispatched ->
-  // shard activity -> completed.
-  EXPECT_GE(Names["admitted"], 1);
-  EXPECT_GE(Names["dispatched"], 1);
-  EXPECT_GE(Names["shard_dispatched"], 1);
-  EXPECT_GE(Names["shard_completed"], 1);
-  EXPECT_GE(Names["completed"], 1);
-#endif
+  // One cold request, one lifecycle: admitted -> dispatched -> completed,
+  // every line carrying the same trace and span ids.
+  EXPECT_EQ(Names, (std::map<std::string, int>{
+                       {"admitted", 1}, {"dispatched", 1}, {"completed", 1}}));
+  ASSERT_EQ(Ids.size(), 3u);
+  EXPECT_FALSE(Ids["admitted"].first.empty());
+  EXPECT_EQ(Ids["dispatched"], Ids["admitted"]);
+  EXPECT_EQ(Ids["completed"], Ids["admitted"]);
 }
 
 } // namespace
-
-int main(int argc, char **argv) {
-  // Route argv through parseExecArgs BEFORE gtest: when ProcessTransport
-  // re-executes this binary with --cta-worker-protocol, parseExecArgs
-  // turns it into a worker process and never returns.
-  (void)cta::parseExecArgs(argc, argv);
-  ::testing::InitGoogleTest(&argc, argv);
-  return RUN_ALL_TESTS();
-}

@@ -42,7 +42,7 @@
 ///   cta top --socket <path> [options]
 ///       Live dashboard for a running daemon: polls cta-serve-stats-v1
 ///       frames and renders tier throughput/latency percentiles, cache
-///       hit ratio, per-worker health and adaptive remap activity.
+///       hit ratio and adaptive remap activity.
 ///
 ///   cta list
 ///       The compiled-in workload suite, machine presets and strategies.
@@ -59,7 +59,6 @@
 #include "serve/Server.h"
 #include "serve/Shutdown.h"
 #include "serve/Top.h"
-#include "serve/Worker.h"
 #include "sim/TraceExport.h"
 #include "sim/TraceLog.h"
 #include "sim/TraceReport.h"
@@ -90,9 +89,9 @@ const char *UsageText =
     "  cta run <file.cta|workload> --machine <preset|file.topo> [options]\n"
     "  cta trace <file.cta|workload> --machine <preset|file.topo> [options]\n"
     "  cta check [--topo] <file>...\n"
-    "  cta serve --socket <path> [--jobs N] [--sim-threads N] [--workers N]\n"
-    "            [--cache-dir P] [--max-inflight N] [--max-batch N]\n"
-    "            [--batch-window-ms N] [--metrics-port N] [--log-json P]\n"
+    "  cta serve --socket <path> [--jobs N] [--sim-threads N] [--cache-dir P]\n"
+    "            [--max-inflight N] [--max-batch N] [--batch-window-ms N]\n"
+    "            [--metrics-port N] [--log-json P]\n"
     "  cta client --socket <path> [--workload W] [--machine M]\n"
     "             [--strategy S] [--scale F] [--concurrency N]\n"
     "             [--requests N] [--mix WARM:COLD] [--emit-json P]\n"
@@ -126,11 +125,6 @@ const char *UsageText =
     "                   0 = hardware threads, N > 1 = epoch-parallel\n"
     "                   engine; results are bit-identical for every value\n"
     "                   (see `cta list` for which runs can parallelize)\n"
-    "  --workers N      shard cold runs across N worker subprocesses\n"
-    "                   (0 = in-process, the default); artifacts are\n"
-    "                   byte-identical to --workers 0 at every N, and a\n"
-    "                   crashed worker only retries its in-flight shard\n"
-    "  --worker-shard-size N   tasks per worker shard (0 = auto)\n"
     "  --jobs N, --cache-dir P, --no-timing   (exec/ flags, as in benches)\n";
 
 [[noreturn]] void usageError(const std::string &Msg) {
@@ -274,8 +268,7 @@ int runList() {
       "  adaptive-mw remap iteration groups at round boundaries from\n"
       "  observed cache feedback, which needs the sequential engine's\n"
       "  global event order (exactly like tracing). Adaptive runs stay\n"
-      "  deterministic — byte-identical artifacts at every --jobs and\n"
-      "  --workers count.\n");
+      "  deterministic — byte-identical artifacts at every --jobs count.\n");
   return 0;
 }
 
@@ -333,25 +326,17 @@ int runCheck(const std::vector<std::string> &Args) {
 /// the separate-value form so the main scanner does not mistake the value
 /// for a positional argument.
 bool isExecFlag(int argc, char **argv, int &I) {
-  const char *Arg = argv[I];
-  for (const char *Prefix :
-       {"--jobs=", "--sim-threads=", "--workers=", "--worker-shard-size=",
-        "--cache-dir=", "--emit-json=", "--adapt-interval=",
-        "--adapt-policy="})
-    if (std::strncmp(Arg, Prefix, std::strlen(Prefix)) == 0)
-      return true;
-  if (std::strcmp(Arg, "--no-timing") == 0)
+  switch (classifyExecFlag(argv[I])) {
+  case ExecFlagForm::None:
+    return false;
+  case ExecFlagForm::Complete:
     return true;
-  for (const char *Flag : {"--jobs", "--sim-threads", "--workers",
-                           "--worker-shard-size", "--cache-dir",
-                           "--emit-json", "--adapt-interval",
-                           "--adapt-policy"})
-    if (std::strcmp(Arg, Flag) == 0) {
-      if (I + 1 >= argc)
-        usageError(std::string(Flag) + " needs a value");
-      ++I;
-      return true;
-    }
+  case ExecFlagForm::ValueFollows:
+    if (I + 1 >= argc)
+      usageError(std::string(argv[I]) + " needs a value");
+    ++I;
+    return true;
+  }
   return false;
 }
 
@@ -650,14 +635,6 @@ int main(int argc, char **argv) {
     std::printf("%s", UsageText);
     return 0;
   }
-  // Hidden worker entry (`cta worker ...` or a --workers parent respawning
-  // this binary with --cta-worker-protocol): parseExecArgs runs the worker
-  // protocol loop and exits when it sees the flag.
-  if (Cmd == "worker" || Cmd == "--cta-worker-protocol") {
-    ExecConfig Config = parseExecArgs(argc, argv);
-    return serve::runWorkerProtocol(Config);
-  }
-
   // Subcommand arguments, with parseExecArgs' flags filtered out so the
   // subcommand parsers only see their own (run re-parses argv for them).
   std::vector<std::string> Args;
