@@ -380,8 +380,7 @@ def check_serve_bench(doc, path):
                 err(spath, "latency split quantiles are not monotone")
 
 
-ADAPT_COUNTER_KEYS = ("rounds", "remaps", "migrations", "weight_updates",
-                      "fallbacks")
+ADAPT_COUNTER_KEYS = ("rounds", "remaps", "migrations", "fallbacks")
 
 
 def check_adaptive_bench(doc, path):

@@ -31,8 +31,6 @@ const char *cta::strategyName(Strategy S) {
     return "Combined";
   case Strategy::AdaptiveGreedy:
     return "AdaptiveGreedy";
-  case Strategy::AdaptiveMW:
-    return "AdaptiveMW";
   }
   cta_unreachable("unknown strategy");
 }
@@ -54,9 +52,6 @@ const char *cta::strategyDescription(Strategy S) {
   case Strategy::AdaptiveGreedy:
     return "TopologyAware seed plus runtime greedy rebalance between "
            "rounds (moves groups off the projected-slowest core)";
-  case Strategy::AdaptiveMW:
-    return "TopologyAware seed plus runtime multiplicative-weights core "
-           "selection (weights track observed per-iteration cost)";
   }
   cta_unreachable("unknown strategy");
 }
@@ -250,9 +245,9 @@ PipelineResult cta::runMappingPipeline(const Program &Prog, unsigned NestIdx,
   //    alpha = beta = 0. Combined adds the locality objective.
   obs::ObsScope ScheduleSpan("pipeline.local-schedule");
   SchedulerDependences SchedDeps = buildSchedulerDeps(DepDAG, Clustered);
-  // The adaptive strategies take TopologyAware's static mapping as their
+  // The adaptive strategy takes TopologyAware's static mapping as its
   // seed; what changes is the executor, not the compile-time pass.
-  if (Strat == Strategy::TopologyAware || isAdaptiveStrategy(Strat)) {
+  if (Strat == Strategy::TopologyAware || Strat == Strategy::AdaptiveGreedy) {
     sortCoreGroupsLexicographic(Clustered.CoreGroups, Clustered.Groups);
     if (!SchedDeps.HasDependences) {
       ScheduleResult Direct;

@@ -20,14 +20,13 @@
 ///                     alpha/beta reuse objective (the paper's best
 ///                     configuration, Figure 15).
 ///  * AdaptiveGreedy - TopologyAware static seed mapping, then the runtime/
-///                     greedy-rebalance policy remaps groups between rounds
-///                     from observed cache/load feedback.
-///  * AdaptiveMW     - as AdaptiveGreedy with multiplicative-weights core
-///                     selection instead of greedy rebalance.
+///                     greedy rebalance moves pending groups between rounds
+///                     from each core's observed load (cycles per retired
+///                     iteration).
 ///
-/// The adaptive strategies produce the same static mapping as
+/// The adaptive strategy produces the same static mapping as
 /// TopologyAware (the pipeline is purely compile-time); the driver routes
-/// them to runtime::executeAdaptive instead of the static engine.
+/// it to runtime::executeAdaptive instead of the static engine.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -44,7 +43,7 @@
 namespace cta {
 
 /// Mapping strategy selector. New entries append: the numeric values feed
-/// run fingerprints and the worker wire protocol.
+/// run fingerprints.
 enum class Strategy {
   Base,
   BasePlus,
@@ -52,13 +51,7 @@ enum class Strategy {
   TopologyAware,
   Combined,
   AdaptiveGreedy,
-  AdaptiveMW,
 };
-
-/// True for the strategies executed by the adaptive runtime.
-inline bool isAdaptiveStrategy(Strategy S) {
-  return S == Strategy::AdaptiveGreedy || S == Strategy::AdaptiveMW;
-}
 
 /// Human-readable strategy name ("Base", "Base+", ...).
 const char *strategyName(Strategy S);

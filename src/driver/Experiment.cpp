@@ -36,24 +36,19 @@ static void accumulateExecution(RunResult &Result,
   }
 }
 
-/// Executes one nest's mapping: adaptive strategies run through the
-/// runtime/ executor (round-boundary remapping from observed feedback,
-/// sequential-only like --emit-trace), everything else through the static
-/// engine. Disabled cores are folded onto live ones first in either case
-/// — the engines refuse work on a speed-0 core.
+/// Executes one nest's mapping: the adaptive strategy runs through the
+/// runtime/ executor (round-boundary rebalancing from observed per-core
+/// load, sequential-only like --emit-trace), everything else through the
+/// static engine. Disabled cores are folded onto live ones first in either
+/// case — the engines refuse work on a speed-0 core.
 static ExecutionResult executeMapped(MachineSim &Sim, const AccessTrace &Trace,
                                      Mapping &Map, Strategy Strat,
                                      const MappingOptions &Opts,
                                      const SimExec &SimCfg) {
   runtime::remapDisabledCores(Map, Sim.topology());
-  if (!isAdaptiveStrategy(Strat))
+  if (Strat != Strategy::AdaptiveGreedy)
     return executeTrace(Sim, Trace, Map, SimCfg);
-  runtime::AdaptiveConfig Cfg;
-  Cfg.Policy = Strat == Strategy::AdaptiveMW
-                   ? runtime::AdaptivePolicyKind::MultiplicativeWeights
-                   : runtime::AdaptivePolicyKind::GreedyRebalance;
-  Cfg.Interval = Opts.AdaptInterval;
-  return runtime::executeAdaptive(Sim, Trace, Map, Cfg);
+  return runtime::executeAdaptive(Sim, Trace, Map, Opts.AdaptInterval);
 }
 
 /// Folds one nest's static sharing report into the run's accumulated one.

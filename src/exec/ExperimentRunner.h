@@ -78,22 +78,16 @@ struct ExecConfig {
   /// MappingOptions default. Part of the run fingerprint (it changes
   /// simulated cycles), unlike SimThreads.
   unsigned AdaptInterval = 0;
-  /// Shorthand strategy selector (--adapt-policy=greedy|mw /
-  /// CTA_ADAPT_POLICY): `cta run` maps "greedy" to the adaptive-greedy
-  /// strategy and "mw" to adaptive-mw. Empty = no override.
-  std::string AdaptPolicy;
 };
 
 /// Parses the exec flags --jobs=N, --sim-threads=N, --cache-dir=PATH,
-/// --no-timing, --emit-json=PATH, --adapt-interval=N and
-/// --adapt-policy=greedy|mw from \p argv; every flag with a value also
-/// accepts the separate `--flag value` form. The CTA_JOBS /
-/// CTA_SIM_THREADS / CTA_CACHE_DIR / CTA_NO_TIMING / CTA_EMIT_JSON /
-/// CTA_ADAPT_INTERVAL / CTA_ADAPT_POLICY environment variables supply
+/// --no-timing, --emit-json=PATH and --adapt-interval=N from \p argv;
+/// every flag with a value also accepts the separate `--flag value` form.
+/// The CTA_JOBS / CTA_SIM_THREADS / CTA_CACHE_DIR / CTA_NO_TIMING /
+/// CTA_EMIT_JSON / CTA_ADAPT_INTERVAL environment variables supply
 /// defaults. Unrecognized arguments are left alone so benches can layer
 /// their own flags. Aborts on malformed values (anything that is not a
-/// plain in-range decimal for the numeric settings, or an unknown
-/// --adapt-policy name).
+/// plain in-range decimal for the numeric settings).
 ExecConfig parseExecArgs(int argc, char **argv);
 
 /// How one argv token relates to parseExecArgs' flags, for front ends

@@ -48,7 +48,10 @@ namespace cta {
 /// per-core speed/disabled attributes (hashed per node), MappingOptions
 /// gains AdaptInterval, and two adaptive strategies extend the Strategy
 /// enum; entries hashed without these fields must not be replayed.
-inline constexpr std::uint64_t RunCacheFormatVersion = 6;
+/// Version 7: the adaptive runtime collapses to one greedy rebalance —
+/// adaptive-greedy results lose an always-zero policy counter, so a
+/// version-6 entry would replay bytes a fresh run no longer produces.
+inline constexpr std::uint64_t RunCacheFormatVersion = 7;
 
 /// Feeds \p Prog into \p H: name, arrays, nests, bounds, accesses and the
 /// per-iteration compute cost.

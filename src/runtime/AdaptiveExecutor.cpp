@@ -1,10 +1,10 @@
-//===- runtime/AdaptiveExecutor.cpp - Feedback-driven execution -----------===//
+//===- runtime/AdaptiveExecutor.cpp - Round-boundary remapping ------------===//
 
 #include "runtime/AdaptiveExecutor.h"
 
 #include "obs/MetricSink.h"
 #include "sim/AccessTrace.h"
-#include "sim/TraceLog.h"
+#include "sim/RowWalk.h"
 #include "support/ErrorHandling.h"
 
 #include <algorithm>
@@ -18,9 +18,7 @@ namespace {
 obs::Counter NumAdaptRounds("runtime.adapt.rounds");
 obs::Counter NumAdaptRemaps("runtime.adapt.remaps");
 obs::Counter NumAdaptMigrations("runtime.adapt.migrations");
-obs::Counter NumAdaptWeightUpdates("runtime.adapt.weight_updates");
 obs::Counter NumAdaptFallbacks("runtime.adapt.fallbacks");
-obs::Counter NumTraceFeedbackRounds("runtime.adapt.trace_feedback_rounds");
 
 /// A mapping the adaptive executor can drive: group-structured, one
 /// round, no cross-core dependences (what the topology-aware pipeline
@@ -32,12 +30,92 @@ bool adaptiveEligible(const Mapping &Map) {
          !Map.Groups.empty() && !Map.CoreGroups.empty();
 }
 
+/// True when \p A and \p B share an on-chip cache (the paper's affinity
+/// relation); migrations inside a domain keep the moved group's data
+/// reachable through the shared level instead of refetching from memory.
+bool sameDomain(const CacheTopology &Topo, unsigned A, unsigned B) {
+  return Topo.affinityLevel(A, B) != CacheTopology::MemoryLevel;
+}
+
 } // namespace
+
+std::vector<Migration>
+runtime::rebalance(const std::vector<CoreLoad> &Cores,
+                   const std::vector<std::vector<std::uint32_t>> &Pending,
+                   const std::vector<IterationGroup> &Groups,
+                   const CacheTopology &Topo) {
+  const unsigned N = static_cast<unsigned>(Cores.size());
+  std::uint64_t TotCycles = 0, TotIters = 0;
+  for (const CoreLoad &C : Cores) {
+    TotCycles += C.Cycles;
+    TotIters += C.Iters;
+  }
+  // Cores that have not retired anything yet are costed at the average.
+  const double Default =
+      TotIters == 0 ? 1.0
+                    : static_cast<double>(TotCycles) /
+                          static_cast<double>(TotIters);
+
+  std::vector<double> CPI(N), Finish(N);
+  std::vector<std::vector<std::uint32_t>> Queue = Pending;
+  for (unsigned C = 0; C != N; ++C) {
+    double Pend = 0.0;
+    for (std::uint32_t G : Pending[C])
+      Pend += Groups[G].size();
+    CPI[C] = Cores[C].Iters == 0 ? Default
+                                 : static_cast<double>(Cores[C].Cycles) /
+                                       static_cast<double>(Cores[C].Iters);
+    Finish[C] = static_cast<double>(Cores[C].Cycles) + Pend * CPI[C];
+  }
+
+  std::vector<Migration> Moves;
+  for (unsigned Step = 0; Step != 4 * N; ++Step) {
+    // The projected-latest finisher that still has a group to give.
+    unsigned Src = N;
+    for (unsigned C = 0; C != N; ++C)
+      if (!Queue[C].empty() && (Src == N || Finish[C] > Finish[Src]))
+        Src = C;
+    if (Src == N)
+      break;
+
+    const std::uint32_t G = Queue[Src].back();
+    const double S = Groups[G].size();
+
+    // Best target: lowest post-move finish, same-domain pass first so a
+    // viable neighbour always wins over a viable stranger.
+    unsigned Dst = N;
+    double DstFinish = 0;
+    for (int DomainPass = 1; DomainPass >= 0 && Dst == N; --DomainPass) {
+      for (unsigned T = 0; T != N; ++T) {
+        if (T == Src || Topo.coreSpeedPercent(T) == 0)
+          continue;
+        if (sameDomain(Topo, Src, T) != (DomainPass == 1))
+          continue;
+        const double F = Finish[T] + S * CPI[T];
+        if (F >= Finish[Src])
+          continue; // would not finish before the current peak
+        if (Dst == N || F < DstFinish) {
+          Dst = T;
+          DstFinish = F;
+        }
+      }
+    }
+    if (Dst == N)
+      break; // no move improves the peak any more
+
+    Moves.push_back({G, Src, Dst});
+    Queue[Src].pop_back();
+    Queue[Dst].push_back(G);
+    Finish[Src] -= S * CPI[Src];
+    Finish[Dst] = DstFinish;
+  }
+  return Moves;
+}
 
 ExecutionResult runtime::executeAdaptive(MachineSim &Machine,
                                          const AccessTrace &Trace,
                                          const Mapping &Map,
-                                         const AdaptiveConfig &Cfg) {
+                                         unsigned Interval) {
   if (Map.NumCores != Machine.topology().numCores())
     reportFatalError("mapping core count does not match the machine");
   if (!Map.coversExactly(Trace.numIterations()))
@@ -48,9 +126,7 @@ ExecutionResult runtime::executeAdaptive(MachineSim &Machine,
   }
 
   const unsigned NumCores = Map.NumCores;
-  const unsigned NumAccesses = Trace.numAccesses();
-  const unsigned ComputeCycles = Trace.computeCyclesPerIteration();
-  const unsigned Interval = std::max(1u, Cfg.Interval);
+  Interval = std::max(1u, Interval);
   const CacheTopology &Topo = Machine.topology();
 
   Machine.clearStats();
@@ -60,9 +136,7 @@ ExecutionResult runtime::executeAdaptive(MachineSim &Machine,
   std::vector<std::vector<std::uint32_t>> Queue = Map.CoreGroups;
   std::vector<std::size_t> Head(NumCores, 0);
   std::vector<std::size_t> InGroup(NumCores, 0);
-
-  std::vector<std::uint64_t> Cycle(NumCores, 0);
-  std::vector<std::uint64_t> Iters(NumCores, 0);
+  std::vector<CoreLoad> Load(NumCores);
 
   std::vector<unsigned> Speed(NumCores, 100);
   for (unsigned C = 0; C != NumCores; ++C) {
@@ -76,89 +150,17 @@ ExecutionResult runtime::executeAdaptive(MachineSim &Machine,
   TraceLog *Log = Machine.traceLog();
   if (Log != nullptr)
     Log->beginNest();
-
-  // Batched row-walk scratch, the sequential engine's untraced hot path
-  // verbatim (per-level survivor filtering keeps probe order, so cache
-  // state and statistics stay bit-identical to per-access walking).
-  std::vector<std::uint64_t> Line(NumAccesses);
-  std::vector<std::uint32_t> Idx(NumAccesses);
-  std::vector<std::uint32_t> Lat(NumAccesses);
-  SimStats Local;
-  const unsigned MemLat = Machine.memoryLatency();
-
-  auto runIterationId = [&](unsigned Core, std::uint32_t Iter) {
-    const std::uint64_t *Row = Trace.row(Iter);
-    std::uint64_t C = Cycle[Core];
-    const std::uint64_t Start = C;
-    if (Log != nullptr) {
-      for (unsigned A = 0; A != NumAccesses; ++A) {
-        Log->setCycle(Core, C);
-        C += Machine.access(Core, Row[A], Trace.isWrite(A));
-      }
-    } else {
-      Local.TotalAccesses += NumAccesses;
-      unsigned Alive = NumAccesses;
-      for (unsigned A = 0; A != NumAccesses; ++A)
-        Idx[A] = A;
-      for (const MachineSim::PathEntry &E : Machine.corePath(Core)) {
-        if (Alive == 0)
-          break;
-        Local.Levels[E.Level].Lookups += Alive;
-        for (unsigned J = 0; J != Alive; ++J)
-          Line[J] = E.lineOf(Row[Idx[J]]);
-        unsigned Surv = 0;
-        std::uint64_t Hits = 0;
-        for (unsigned J = 0; J != Alive; ++J) {
-          if (E.C->probe(Line[J])) {
-            Lat[Idx[J]] = E.Latency;
-            ++Hits;
-          } else {
-            Idx[Surv++] = Idx[J];
-          }
-        }
-        Local.Levels[E.Level].Hits += Hits;
-        Alive = Surv;
-      }
-      Local.MemoryAccesses += Alive;
-      for (unsigned J = 0; J != Alive; ++J)
-        Lat[Idx[J]] = MemLat;
-      for (unsigned A = 0; A != NumAccesses; ++A)
-        C += Lat[A];
-    }
-    std::uint64_t D = C + ComputeCycles - Start;
-    if (Speed[Core] != 100)
-      D = (D * 100 + Speed[Core] - 1) / Speed[Core];
-    if (Log != nullptr)
-      Log->iterationSpan(Core, Iter, Start, Start + D);
-    Cycle[Core] = Start + D;
-    ++Iters[Core];
-  };
-
-  auto pendingItersOf = [&](unsigned C) {
-    std::uint64_t P = 0;
-    for (std::size_t I = Head[C], E = Queue[C].size(); I != E; ++I)
-      P += Map.Groups[Queue[C][I]].size();
-    return P;
-  };
-
-  std::unique_ptr<AdaptivePolicy> Policy = makeAdaptivePolicy(Cfg.Policy);
-
-  // Baselines for per-round deltas.
-  std::vector<std::uint64_t> PrevCycle(NumCores, 0), PrevIters(NumCores, 0);
-  std::vector<CacheNodeStats> PrevCache = Machine.perCacheStats();
-  // Trace-counter baselines, only touched on traced runs (Log != nullptr).
-  std::vector<std::uint64_t> PrevTraceHits, PrevTraceFills;
+  RowWalk Walk(Machine, Trace, Speed);
 
   using HeapEntry = std::pair<std::uint64_t, unsigned>;
   using MinHeap = std::priority_queue<HeapEntry, std::vector<HeapEntry>,
                                       std::greater<HeapEntry>>;
 
-  unsigned Round = 0;
-  for (;;) {
+  for (unsigned Round = 0;; ++Round) {
     MinHeap Heap;
     for (unsigned C = 0; C != NumCores; ++C)
       if (Head[C] < Queue[C].size())
-        Heap.push({Cycle[C], C});
+        Heap.push({Load[C].Cycles, C});
     if (Heap.empty())
       break;
     if (Log != nullptr)
@@ -172,50 +174,19 @@ ExecutionResult runtime::executeAdaptive(MachineSim &Machine,
       unsigned C = Heap.top().second;
       Heap.pop();
       const IterationGroup &G = Map.Groups[Queue[C][Head[C]]];
-      runIterationId(C, G.Iterations[InGroup[C]]);
+      Walk.run(C, G.Iterations[InGroup[C]], Load[C].Cycles);
+      ++Load[C].Iters;
       if (++InGroup[C] == G.Iterations.size()) {
         InGroup[C] = 0;
         ++Head[C];
         if (--Allowance[C] == 0 || Head[C] == Queue[C].size())
           continue; // this core's round is over
       }
-      Heap.push({Cycle[C], C});
+      Heap.push({Load[C].Cycles, C});
     }
     ++NumAdaptRounds;
-    ++Round;
 
-    std::uint64_t TotalPending = 0;
-    for (unsigned C = 0; C != NumCores; ++C)
-      TotalPending += pendingItersOf(C);
-    if (TotalPending == 0)
-      break; // drained; nothing left to remap
-
-    // Commit point: extract feedback, plan, migrate.
-    Feedback FB;
-    FB.Round = Round;
-    FB.Cores.resize(NumCores);
-    for (unsigned C = 0; C != NumCores; ++C) {
-      CoreFeedback &F = FB.Cores[C];
-      F.Cycles = Cycle[C];
-      F.CyclesDelta = Cycle[C] - PrevCycle[C];
-      F.ItersTotal = Iters[C];
-      F.ItersDelta = Iters[C] - PrevIters[C];
-      F.PendingIters = pendingItersOf(C);
-      F.SpeedPercent = Speed[C];
-    }
-    std::vector<CacheNodeStats> CurCache = Machine.perCacheStats();
-    FB.Caches = diffCacheStats(PrevCache, CurCache);
-    if (Log != nullptr) {
-      // Traced runs fold the TraceLog's per-node hit/fill movement into
-      // the same snapshot. Counters never feed back into cycle math, so
-      // traced and untraced adaptive runs stay cycle-identical.
-      foldTraceCounts(FB.Caches, *Log, PrevTraceHits, PrevTraceFills);
-      ++NumTraceFeedbackRounds;
-    }
-    PrevCache = std::move(CurCache);
-    PrevCycle = Cycle;
-    PrevIters = Iters;
-
+    // Commit point: plan on what is still pending, then migrate.
     std::vector<std::vector<std::uint32_t>> Pending(NumCores);
     for (unsigned C = 0; C != NumCores; ++C)
       Pending[C].assign(Queue[C].begin() +
@@ -223,15 +194,15 @@ ExecutionResult runtime::executeAdaptive(MachineSim &Machine,
                         Queue[C].end());
 
     unsigned Applied = 0;
-    for (const Migration &M : Policy->plan(FB, Pending, Map.Groups, Topo)) {
+    for (const Migration &M : rebalance(Load, Pending, Map.Groups, Topo)) {
       if (M.From >= NumCores || M.To >= NumCores || M.From == M.To ||
           Speed[M.To] == 0)
-        reportFatalError("adaptive policy planned an invalid migration");
+        reportFatalError("adaptive rebalance planned an invalid migration");
       auto It = std::find(Queue[M.From].begin() +
                               static_cast<std::ptrdiff_t>(Head[M.From]),
                           Queue[M.From].end(), M.Group);
       if (It == Queue[M.From].end())
-        reportFatalError("adaptive policy migrated a non-pending group");
+        reportFatalError("adaptive rebalance migrated a non-pending group");
       Queue[M.From].erase(It);
       Queue[M.To].push_back(M.Group);
       ++Applied;
@@ -241,13 +212,14 @@ ExecutionResult runtime::executeAdaptive(MachineSim &Machine,
       NumAdaptMigrations += Applied;
     }
   }
-  NumAdaptWeightUpdates += Policy->weightUpdates();
 
-  Machine.addStats(Local);
+  Machine.addStats(Walk.Stats);
 
   ExecutionResult Result;
-  Result.CoreCycles = Cycle;
-  Result.TotalCycles = *std::max_element(Cycle.begin(), Cycle.end());
+  for (const CoreLoad &L : Load)
+    Result.CoreCycles.push_back(L.Cycles);
+  Result.TotalCycles =
+      *std::max_element(Result.CoreCycles.begin(), Result.CoreCycles.end());
   Result.Stats = Machine.stats();
   Result.PerCache = Machine.perCacheStats();
   return Result;

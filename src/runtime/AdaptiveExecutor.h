@@ -1,4 +1,4 @@
-//===- runtime/AdaptiveExecutor.h - Feedback-driven execution --*- C++ -*-===//
+//===- runtime/AdaptiveExecutor.h - Round-boundary remapping ----*- C++ -*-===//
 //
 // Part of the CTA project: cache-topology-aware computation mapping.
 //
@@ -7,9 +7,9 @@
 /// \file
 /// The adaptive runtime: executes a statically computed group-structured
 /// mapping, but between rounds — a round ends when every core has retired
-/// its allowance of AdaptInterval groups — extracts a runtime::Feedback
-/// snapshot and lets an AdaptivePolicy migrate pending groups between
-/// cores. The commit point is where the sequential engine's event heap
+/// its allowance of Interval groups — lets rebalance() migrate pending
+/// groups between cores from each core's clock and retired-iteration
+/// count. The commit point is where the sequential engine's event heap
 /// already leaves every core idle at a group boundary, so migration needs
 /// no new synchronization; its cost is charged organically as cold-cache
 /// refill when the moved group's lines miss in the destination core's
@@ -18,17 +18,21 @@
 /// The adaptive path is sequential-only, like `--emit-trace`: remap
 /// decisions depend on global cross-core state at each commit point, so
 /// `--sim-threads` requests fall back to this engine (documented in
-/// DESIGN.md). Determinism is unconditional — policies are deterministic
-/// and the event order is the sequential engine's — so artifacts are
-/// byte-identical across --jobs counts.
+/// DESIGN.md). Determinism is unconditional — rebalance() is a pure
+/// function and the event order is the sequential engine's — so artifacts
+/// are byte-identical across --jobs counts.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef CTA_RUNTIME_ADAPTIVEEXECUTOR_H
 #define CTA_RUNTIME_ADAPTIVEEXECUTOR_H
 
-#include "runtime/AdaptivePolicy.h"
+#include "core/IterationGroup.h"
 #include "sim/Engine.h"
+#include "topo/Topology.h"
+
+#include <cstdint>
+#include <vector>
 
 namespace cta {
 
@@ -36,21 +40,44 @@ class AccessTrace;
 
 namespace runtime {
 
-struct AdaptiveConfig {
-  AdaptivePolicyKind Policy = AdaptivePolicyKind::GreedyRebalance;
-  /// Groups each core retires between remap commit points (min 1).
-  unsigned Interval = 4;
+/// What one core has done up to a round commit point.
+struct CoreLoad {
+  std::uint64_t Cycles = 0; ///< local clock
+  std::uint64_t Iters = 0;  ///< iterations retired so far
 };
 
-/// Executes \p Map over \p Trace with round-boundary remapping. Requires a
-/// group-structured single-round barrier-free mapping (what the
-/// topology-aware pipeline produces); anything else — point-to-point
-/// dependences, multi-round barrier schedules, group-less baselines —
-/// falls back to the static executeTrace (counted in
-/// runtime.adapt.fallbacks). Statistics and results mirror executeTrace.
+/// One planned migration: pending group \p Group leaves core \p From's
+/// queue and joins the back of core \p To's queue.
+struct Migration {
+  std::uint32_t Group = 0;
+  unsigned From = 0;
+  unsigned To = 0;
+};
+
+/// Plans migrations at a round commit point. \p Pending holds, per core,
+/// the ids of groups not yet started (front = next to run); \p Groups
+/// resolves ids to their iteration lists. While the projected-latest
+/// finisher can hand its tail group to a core that would still finish
+/// earlier, the group moves — to a core sharing a cache with it when one
+/// qualifies, to the globally best core otherwise. Projections use each
+/// core's observed cycles per retired iteration, so a degraded core sheds
+/// work once the first round exposes its cost. Never targets a core that
+/// \p Topo disables (speed 0).
+std::vector<Migration>
+rebalance(const std::vector<CoreLoad> &Cores,
+          const std::vector<std::vector<std::uint32_t>> &Pending,
+          const std::vector<IterationGroup> &Groups,
+          const CacheTopology &Topo);
+
+/// Executes \p Map over \p Trace, calling rebalance() every time each core
+/// has retired \p Interval groups (min 1). Requires a group-structured
+/// single-round barrier-free mapping (what the topology-aware pipeline
+/// produces); anything else — point-to-point dependences, multi-round
+/// barrier schedules, group-less baselines — falls back to the static
+/// executeTrace (counted in runtime.adapt.fallbacks). Statistics and
+/// results mirror executeTrace.
 ExecutionResult executeAdaptive(MachineSim &Machine, const AccessTrace &Trace,
-                                const Mapping &Map,
-                                const AdaptiveConfig &Cfg);
+                                const Mapping &Map, unsigned Interval);
 
 /// Folds the work of disabled cores (SpeedPercent == 0) onto live ones so
 /// static strategies can still run on a degraded machine: each disabled

@@ -18,17 +18,6 @@
 
 using namespace cta;
 
-/// Validates an --adapt-policy value; the two names mirror the
-/// adaptive-greedy / adaptive-mw strategies.
-static std::string parseAdaptPolicy(const char *What, const char *Value) {
-  std::string V = Value;
-  if (V != "greedy" && V != "mw")
-    reportFatalError((std::string(What) + ": unknown adaptive policy '" + V +
-                      "' (expected 'greedy' or 'mw')")
-                         .c_str());
-  return V;
-}
-
 static unsigned parseCount(const char *What, const char *Value) {
   return static_cast<unsigned>(parseUint64OrDie(What, Value, /*Max=*/UINT_MAX));
 }
@@ -62,10 +51,6 @@ const ExecFlag ExecFlags[] = {
     {"--adapt-interval", "CTA_ADAPT_INTERVAL", true,
      [](ExecConfig &C, const char *W, const char *V) {
        C.AdaptInterval = parseCount(W, V);
-     }},
-    {"--adapt-policy", "CTA_ADAPT_POLICY", true,
-     [](ExecConfig &C, const char *W, const char *V) {
-       C.AdaptPolicy = parseAdaptPolicy(W, V);
      }},
     {"--cache-dir", "CTA_CACHE_DIR", true,
      [](ExecConfig &C, const char *, const char *V) { C.CacheDir = V; }},

@@ -257,26 +257,6 @@ bool isBuiltinWorkload(const std::string &Name) {
   return false;
 }
 
-std::optional<Strategy> parseStrategyName(std::string Name) {
-  std::transform(Name.begin(), Name.end(), Name.begin(),
-                 [](unsigned char C) { return std::tolower(C); });
-  if (Name == "base" || Name == "os-default")
-    return Strategy::Base;
-  if (Name == "base+" || Name == "baseplus")
-    return Strategy::BasePlus;
-  if (Name == "local")
-    return Strategy::Local;
-  if (Name == "topology-aware" || Name == "topologyaware" || Name == "cta")
-    return Strategy::TopologyAware;
-  if (Name == "combined")
-    return Strategy::Combined;
-  if (Name == "adaptive-greedy" || Name == "adaptivegreedy")
-    return Strategy::AdaptiveGreedy;
-  if (Name == "adaptive-mw" || Name == "adaptivemw")
-    return Strategy::AdaptiveMW;
-  return std::nullopt;
-}
-
 /// Resolves one machine field pair (preset name or inline .topo text).
 std::optional<CacheTopology> resolveMachine(const std::string &Preset,
                                             const std::string &TopoText,
@@ -301,6 +281,24 @@ std::optional<CacheTopology> resolveMachine(const std::string &Preset,
 }
 
 } // namespace
+
+std::optional<Strategy> serve::parseStrategyName(std::string Name) {
+  std::transform(Name.begin(), Name.end(), Name.begin(),
+                 [](unsigned char C) { return std::tolower(C); });
+  if (Name == "base" || Name == "os-default")
+    return Strategy::Base;
+  if (Name == "base+" || Name == "baseplus")
+    return Strategy::BasePlus;
+  if (Name == "local")
+    return Strategy::Local;
+  if (Name == "topology-aware" || Name == "topologyaware" || Name == "cta")
+    return Strategy::TopologyAware;
+  if (Name == "combined")
+    return Strategy::Combined;
+  if (Name == "adaptive-greedy" || Name == "adaptivegreedy")
+    return Strategy::AdaptiveGreedy;
+  return std::nullopt;
+}
 
 std::optional<RunTask> cta::serve::buildRunTask(const ServeRequest &Req,
                                                 RequestError &Err) {

@@ -138,6 +138,12 @@ struct JsonValue;
 std::optional<ServeRequest> parseServeRequest(const JsonValue &Doc,
                                               RequestError &Err);
 
+/// The strategy a user-facing name selects (case-insensitive; "base",
+/// "base+", "local", "topology-aware", "combined", "adaptive-greedy" and
+/// their aliases); std::nullopt for anything else. `cta run` and request
+/// validation share it.
+std::optional<Strategy> parseStrategyName(std::string Name);
+
 /// Resolves a validated request into the task the Service executes:
 /// parses inline DSL/.topo text (positioned diagnostics on failure),
 /// resolves presets and the strategy, applies scale and option overrides

@@ -5,6 +5,7 @@
 #include "obs/MetricSink.h"
 #include "sim/AccessTrace.h"
 #include "sim/ParallelEngine.h"
+#include "sim/RowWalk.h"
 #include "sim/TraceLog.h"
 #include "support/ErrorHandling.h"
 
@@ -39,15 +40,6 @@ std::vector<unsigned> coreSpeeds(const MachineSim &Machine,
                            .c_str());
   }
   return Speed;
-}
-
-/// Stretches one iteration's duration for core \p Core: identity at
-/// nominal speed, ceil(D * 100 / pct) otherwise.
-std::uint64_t scaleDuration(const std::vector<unsigned> &Speed, unsigned Core,
-                            std::uint64_t D) {
-  if (Speed.empty() || Speed[Core] == 100)
-    return D;
-  return (D * 100 + Speed[Core] - 1) / Speed[Core];
 }
 
 /// Unrecorded-completion sentinel. Cycle 0 is a legitimate completion time
@@ -129,8 +121,6 @@ ExecutionResult cta::executeTrace(MachineSim &Machine,
     return executeTraceEpochParallel(Machine, Trace, Map, Exec);
 
   const unsigned NumCores = Map.NumCores;
-  const unsigned NumAccesses = Trace.numAccesses();
-  const unsigned ComputeCycles = Trace.computeCyclesPerIteration();
 
   Machine.clearStats();
 
@@ -143,74 +133,19 @@ ExecutionResult cta::executeTrace(MachineSim &Machine,
   const bool Barriers = !PointToPoint && Map.BarriersRequired;
   const unsigned NumRounds = Barriers ? Map.NumRounds : 1;
 
-  // Tracing is resolved once per execution; the untraced lambda below is
-  // the unchanged hot path.
+  // Tracing is resolved once per execution; untraced rows take the
+  // batched walk (sim/RowWalk.h).
   TraceLog *Log = Machine.traceLog();
   if (Log != nullptr)
     Log->beginNest();
 
-  // Batched row-walk scratch (untraced path). One iteration's accesses
-  // probe the path level by level: gather the level's line addresses,
-  // probe once per surviving access, carry the misses down. Every cache
-  // still sees its probes in access order (survivor filtering preserves
-  // it), so state and statistics are bit-identical to the per-access
-  // walk — the batching only turns the per-level work into tight
-  // vectorizable loops. Statistics accumulate locally and fold into the
-  // machine once at the end (sums of per-access counts commute).
-  std::vector<std::uint64_t> Line(NumAccesses);
-  std::vector<std::uint32_t> Idx(NumAccesses);
-  std::vector<std::uint32_t> Lat(NumAccesses);
-  SimStats Local;
+  RowWalk Walk(Machine, Trace, coreSpeeds(Machine, Map));
   std::uint64_t BatchedRows = 0;
-  const unsigned MemLat = Machine.memoryLatency();
-  const std::vector<unsigned> Speed = coreSpeeds(Machine, Map);
 
   auto runIteration = [&](unsigned Core) {
-    std::uint32_t Iter = Map.CoreIterations[Core][Pos[Core]];
-    const std::uint64_t *Row = Trace.row(Iter);
-    std::uint64_t C = Cycle[Core];
-    const std::uint64_t Start = C;
-    if (Log != nullptr) {
-      for (unsigned A = 0; A != NumAccesses; ++A) {
-        Log->setCycle(Core, C);
-        C += Machine.access(Core, Row[A], Trace.isWrite(A));
-      }
-      Log->iterationSpan(Core, Iter, Start,
-                         Start + scaleDuration(Speed, Core,
-                                               C + ComputeCycles - Start));
-    } else {
-      Local.TotalAccesses += NumAccesses;
+    Walk.run(Core, Map.CoreIterations[Core][Pos[Core]], Cycle[Core]);
+    if (Log == nullptr)
       ++BatchedRows;
-      unsigned Alive = NumAccesses;
-      for (unsigned A = 0; A != NumAccesses; ++A)
-        Idx[A] = A;
-      for (const MachineSim::PathEntry &E : Machine.corePath(Core)) {
-        if (Alive == 0)
-          break;
-        Local.Levels[E.Level].Lookups += Alive;
-        for (unsigned J = 0; J != Alive; ++J)
-          Line[J] = E.lineOf(Row[Idx[J]]);
-        unsigned Surv = 0;
-        std::uint64_t Hits = 0;
-        for (unsigned J = 0; J != Alive; ++J) {
-          if (E.C->probe(Line[J])) {
-            Lat[Idx[J]] = E.Latency;
-            ++Hits;
-          } else {
-            Idx[Surv++] = Idx[J];
-          }
-        }
-        Local.Levels[E.Level].Hits += Hits;
-        Alive = Surv;
-      }
-      Local.MemoryAccesses += Alive;
-      for (unsigned J = 0; J != Alive; ++J)
-        Lat[Idx[J]] = MemLat;
-      for (unsigned A = 0; A != NumAccesses; ++A)
-        C += Lat[A];
-    }
-    Cycle[Core] =
-        Start + scaleDuration(Speed, Core, C + ComputeCycles - Start);
     ++Pos[Core];
   };
 
@@ -325,9 +260,9 @@ ExecutionResult cta::executeTrace(MachineSim &Machine,
     }
   }
 
-  Machine.addStats(Local);
+  Machine.addStats(Walk.Stats);
   NumBatchRows += BatchedRows;
-  NumBatchAccesses += Local.TotalAccesses;
+  NumBatchAccesses += Walk.Stats.TotalAccesses;
 
   ExecutionResult Result;
   Result.CoreCycles = Cycle;

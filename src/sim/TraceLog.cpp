@@ -91,13 +91,14 @@ std::uint64_t ReuseDistanceProfiler::massUpTo(std::uint64_t Distance) const {
 TraceLog::TraceLog(TraceConfig Config) : Config(Config) {}
 
 void TraceLog::bind(const CacheTopology &T) {
-  if (Topo == &T)
+  if (Topo) {
+    if (*Topo != T)
+      reportFatalError("trace log is already bound to a different topology");
     return;
-  if (Topo != nullptr)
-    reportFatalError("trace log is already bound to a different topology");
+  }
   if (!T.finalized())
     reportFatalError("trace log needs a finalized topology");
-  Topo = &T;
+  Topo = T;
   NumCores = T.numCores();
 
   Ring.assign(Config.RingCapacity, TraceEvent());
@@ -115,7 +116,7 @@ void TraceLog::bind(const CacheTopology &T) {
 }
 
 const CacheTopology &TraceLog::topology() const {
-  if (Topo == nullptr)
+  if (!Topo)
     reportFatalError("trace log is not bound to a machine");
   return *Topo;
 }

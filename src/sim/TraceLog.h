@@ -41,6 +41,7 @@
 
 #include <array>
 #include <cstdint>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -168,11 +169,13 @@ public:
 
   explicit TraceLog(TraceConfig Config = {});
 
-  /// Ties the log to the machine it observes: allocates the per-node
+  /// Ties the log to the machine it observes: keeps its own copy of the
+  /// topology (the log outlives the task that ran the simulation, and the
+  /// renderers read the topology long after) and allocates the per-node
   /// structures. Called by MachineSim::setTraceLog; binding a second,
   /// different topology is a fatal error (one log = one machine).
   void bind(const CacheTopology &Topo);
-  bool bound() const { return Topo != nullptr; }
+  bool bound() const { return Topo.has_value(); }
   const CacheTopology &topology() const;
   const TraceConfig &config() const { return Config; }
 
@@ -265,7 +268,7 @@ private:
             std::uint64_t Cycle, std::uint64_t Payload);
 
   TraceConfig Config;
-  const CacheTopology *Topo = nullptr;
+  std::optional<CacheTopology> Topo;
   unsigned NumCores = 0;
 
   // Ring buffer.

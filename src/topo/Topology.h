@@ -38,6 +38,8 @@ struct CacheParams {
     std::uint64_t Sets = Lines / Assoc;
     return Sets == 0 ? 1 : static_cast<unsigned>(Sets);
   }
+
+  bool operator==(const CacheParams &) const = default;
 };
 
 /// A cache hierarchy tree rooted at off-chip memory.
@@ -57,6 +59,8 @@ public:
     /// Relative core speed for L1 nodes: 100 = nominal, 50 = half speed,
     /// 0 = disabled (the core accepts no work). Ignored on interior nodes.
     unsigned SpeedPercent = 100;
+
+    bool operator==(const Node &) const = default;
   };
 
 private:
@@ -68,6 +72,9 @@ private:
 public:
   /// Creates a topology whose memory root has the given access latency.
   CacheTopology(std::string Name, unsigned MemoryLatencyCycles);
+
+  /// Structural equality: same name, tree, geometry, latencies and speeds.
+  bool operator==(const CacheTopology &) const = default;
 
   const std::string &name() const { return Name; }
   void setName(std::string N) { Name = std::move(N); }

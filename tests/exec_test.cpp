@@ -145,18 +145,20 @@ fingerprintWithVersion(std::uint64_t Version, const Program &Prog,
 }
 
 TEST(FingerprintTest, FormatVersionSaltMovesEveryKey) {
-  // The runtime/ adaptive layer bumped RunCacheFormatVersion from 5 to 6
-  // (topology nodes hash a per-core speed, options hash AdaptInterval),
-  // so entries produced by older engines can never be served. Keys minted
-  // under any old salt must not collide with current keys.
+  // Collapsing the adaptive runtime bumped RunCacheFormatVersion from 6
+  // to 7 (adaptive-greedy results lost a counter key), so entries
+  // produced by older builds can never be served. Keys minted under any
+  // old salt must not collide with current keys.
   Program Prog = makeWorkload("cg");
   CacheTopology Topo = makeDunnington().scaledCapacity(1.0 / 32);
   MappingOptions Opts;
 
-  ASSERT_EQ(RunCacheFormatVersion, 6u);
+  ASSERT_EQ(RunCacheFormatVersion, 7u);
   std::uint64_t Current =
       runFingerprint(Prog, Topo, nullptr, Strategy::TopologyAware, Opts);
-  EXPECT_EQ(Current, fingerprintWithVersion(6, Prog, Topo,
+  EXPECT_EQ(Current, fingerprintWithVersion(7, Prog, Topo,
+                                            Strategy::TopologyAware, Opts));
+  EXPECT_NE(Current, fingerprintWithVersion(6, Prog, Topo,
                                             Strategy::TopologyAware, Opts));
   EXPECT_NE(Current, fingerprintWithVersion(5, Prog, Topo,
                                             Strategy::TopologyAware, Opts));
@@ -679,43 +681,40 @@ TEST(ExperimentRunnerDeathTest, RejectsMalformedAdaptInterval) {
                "--adapt-interval");
 }
 
-TEST(ExperimentRunnerDeathTest, RejectsUnknownAdaptPolicy) {
-  const char *Unknown[] = {"bench", "--adapt-policy=fast"};
-  EXPECT_DEATH(parseExecArgs(2, const_cast<char **>(Unknown)),
-               "--adapt-policy");
-  // Full strategy names are not policy names; the flag is a shorthand.
-  const char *Full[] = {"bench", "--adapt-policy=adaptive-greedy"};
-  EXPECT_DEATH(parseExecArgs(2, const_cast<char **>(Full)),
-               "--adapt-policy");
-  const char *Missing[] = {"bench", "--adapt-policy"};
-  EXPECT_DEATH(parseExecArgs(2, const_cast<char **>(Missing)),
-               "--adapt-policy");
-}
-
 TEST(ExperimentRunnerDeathTest, RejectsMalformedAdaptEnv) {
   const char *Argv[] = {"bench"};
   ::setenv("CTA_ADAPT_INTERVAL", "4x", 1);
   EXPECT_DEATH(parseExecArgs(1, const_cast<char **>(Argv)),
                "CTA_ADAPT_INTERVAL");
   ::unsetenv("CTA_ADAPT_INTERVAL");
-  ::setenv("CTA_ADAPT_POLICY", "fast", 1);
-  EXPECT_DEATH(parseExecArgs(1, const_cast<char **>(Argv)),
-               "CTA_ADAPT_POLICY");
-  ::unsetenv("CTA_ADAPT_POLICY");
 }
 
 TEST(ExperimentRunnerTest, ParsesAdaptFlags) {
-  const char *Argv[] = {"bench", "--adapt-interval=9", "--adapt-policy", "mw"};
-  ExecConfig C = parseExecArgs(4, const_cast<char **>(Argv));
+  const char *Argv[] = {"bench", "--adapt-interval=9"};
+  ExecConfig C = parseExecArgs(2, const_cast<char **>(Argv));
   EXPECT_EQ(C.AdaptInterval, 9u);
-  EXPECT_EQ(C.AdaptPolicy, "mw");
+}
+
+TEST(ExperimentRunnerTest, RemovedAdaptPolicyIsUnknown) {
+  // --adapt-policy is no exec flag, so `cta run` rejects it as an unknown
+  // flag and parseExecArgs leaves it (and its value) alone.
+  EXPECT_EQ(classifyExecFlag("--adapt-policy"), ExecFlagForm::None);
+  EXPECT_EQ(classifyExecFlag("--adapt-policy=greedy"), ExecFlagForm::None);
+  // CTA_ADAPT_POLICY is no longer read: a value the old parser rejected
+  // now passes through without effect.
+  ::setenv("CTA_ADAPT_POLICY", "fast", 1);
+  const char *Argv[] = {"bench", "--adapt-policy", "mw", "--jobs=3"};
+  ExecConfig C = parseExecArgs(4, const_cast<char **>(Argv));
+  ::unsetenv("CTA_ADAPT_POLICY");
+  EXPECT_EQ(C.Jobs, 3u);
+  EXPECT_EQ(C.AdaptInterval, 0u);
 }
 
 TEST(ExperimentRunnerTest, ClassifyExecFlagMatchesTheParser) {
   EXPECT_EQ(classifyExecFlag("--jobs"), ExecFlagForm::ValueFollows);
   EXPECT_EQ(classifyExecFlag("--jobs=2"), ExecFlagForm::Complete);
   EXPECT_EQ(classifyExecFlag("--emit-json"), ExecFlagForm::ValueFollows);
-  EXPECT_EQ(classifyExecFlag("--adapt-policy=mw"), ExecFlagForm::Complete);
+  EXPECT_EQ(classifyExecFlag("--adapt-interval=2"), ExecFlagForm::Complete);
   EXPECT_EQ(classifyExecFlag("--no-timing"), ExecFlagForm::Complete);
   EXPECT_EQ(classifyExecFlag("--no-timing=1"), ExecFlagForm::None);
   EXPECT_EQ(classifyExecFlag("--jobsx"), ExecFlagForm::None);

@@ -2,8 +2,8 @@
 //
 // Part of the CTA project: cache-topology-aware computation mapping.
 //
-// Covers the runtime/ subsystem end to end: the remap policies as pure
-// functions over synthetic Feedback, the disabled-core fold, the adaptive
+// Covers the runtime/ subsystem end to end: rebalance() as a pure
+// function over synthetic per-core loads, the disabled-core fold, the adaptive
 // executor's win over the static mapping on a degraded machine (and its
 // within-noise behaviour on a uniform one), the fallback on dependence
 // workloads, the fingerprint extensions, and byte-identical determinism
@@ -18,7 +18,6 @@
 #include "exec/Fingerprint.h"
 #include "exec/RunCache.h"
 #include "runtime/AdaptiveExecutor.h"
-#include "runtime/AdaptivePolicy.h"
 #include "topo/Parse.h"
 #include "topo/Presets.h"
 #include "workloads/Suite.h"
@@ -55,20 +54,8 @@ IterationGroup makeGroup(std::uint32_t First, std::uint32_t Size) {
   return G;
 }
 
-CoreFeedback coreFB(std::uint64_t Cycles, std::uint64_t ItersTotal,
-                    std::uint64_t CyclesDelta, std::uint64_t ItersDelta,
-                    std::uint64_t PendingIters) {
-  CoreFeedback F;
-  F.Cycles = Cycles;
-  F.CyclesDelta = CyclesDelta;
-  F.ItersTotal = ItersTotal;
-  F.ItersDelta = ItersDelta;
-  F.PendingIters = PendingIters;
-  return F;
-}
-
 /// The paper's Dunnington at 1/32 capacity with core 0 running at half
-/// speed — the degraded scenario the adaptive strategies must win on.
+/// speed — the degraded scenario adaptive-greedy must win on.
 CacheTopology degradedDunnington() {
   CacheTopology T = makeDunnington().scaledCapacity(1.0 / 32);
   T.setCoreSpeed(0, 50);
@@ -76,7 +63,7 @@ CacheTopology degradedDunnington() {
 }
 
 //===----------------------------------------------------------------------===//
-// Policy unit tests (synthetic feedback, no simulator)
+// rebalance() unit tests (synthetic per-core loads, no simulator)
 //===----------------------------------------------------------------------===//
 
 TEST(AdaptivePolicyTest, GreedyShedsWorkFromProjectedSlowestCore) {
@@ -87,12 +74,9 @@ TEST(AdaptivePolicyTest, GreedyShedsWorkFromProjectedSlowestCore) {
   // a third move would no longer beat the peak.
   std::vector<IterationGroup> Groups = {makeGroup(0, 10), makeGroup(10, 10)};
   std::vector<std::vector<std::uint32_t>> Pending = {{0, 1}, {}};
-  Feedback FB;
-  FB.Round = 1;
-  FB.Cores = {coreFB(1000, 10, 1000, 10, 20), coreFB(500, 10, 500, 10, 0)};
+  std::vector<CoreLoad> Cores = {{1000, 10}, {500, 10}};
 
-  auto Policy = makeAdaptivePolicy(AdaptivePolicyKind::GreedyRebalance);
-  std::vector<Migration> Plan = Policy->plan(FB, Pending, Groups, Topo);
+  std::vector<Migration> Plan = rebalance(Cores, Pending, Groups, Topo);
   ASSERT_EQ(Plan.size(), 2u);
   for (const Migration &M : Plan) {
     EXPECT_EQ(M.From, 0u);
@@ -101,73 +85,32 @@ TEST(AdaptivePolicyTest, GreedyShedsWorkFromProjectedSlowestCore) {
   // The tail group moves first.
   EXPECT_EQ(Plan[0].Group, 1u);
   EXPECT_EQ(Plan[1].Group, 0u);
-  EXPECT_EQ(Policy->weightUpdates(), 0u); // weightless policy
 }
 
 TEST(AdaptivePolicyTest, GreedyPlansNothingOnBalancedFeedback) {
   CacheTopology Topo = pairTopology();
   std::vector<IterationGroup> Groups = {makeGroup(0, 10), makeGroup(10, 10)};
   std::vector<std::vector<std::uint32_t>> Pending = {{0}, {1}};
-  Feedback FB;
-  FB.Round = 1;
-  FB.Cores = {coreFB(1000, 10, 1000, 10, 10), coreFB(1000, 10, 1000, 10, 10)};
+  std::vector<CoreLoad> Cores = {{1000, 10}, {1000, 10}};
 
-  auto Policy = makeAdaptivePolicy(AdaptivePolicyKind::GreedyRebalance);
-  EXPECT_TRUE(Policy->plan(FB, Pending, Groups, Topo).empty());
+  EXPECT_TRUE(rebalance(Cores, Pending, Groups, Topo).empty());
 }
 
 TEST(AdaptivePolicyTest, GreedyNeverTargetsDisabledCores) {
   std::string Err;
   std::optional<CacheTopology> Topo = parseTopology(
-      "trio", "mem:100 l2:64K:8:10 { core core core }", &Err);
+      "trio", "mem:100 l2:64K:8:10 { core core core:disabled }", &Err);
   ASSERT_TRUE(Topo.has_value()) << Err;
-  // Core 2 is reported disabled in the feedback (speed 0): even though it
-  // is idle with projected finish 0, no group may move there.
+  // Core 2 is disabled: even though it is idle with projected finish 0,
+  // no group may move there.
   std::vector<IterationGroup> Groups = {makeGroup(0, 10), makeGroup(10, 10)};
   std::vector<std::vector<std::uint32_t>> Pending = {{0, 1}, {}, {}};
-  Feedback FB;
-  FB.Round = 1;
-  FB.Cores = {coreFB(1000, 10, 1000, 10, 20), coreFB(500, 10, 500, 10, 0),
-              coreFB(0, 0, 0, 0, 0)};
-  FB.Cores[2].SpeedPercent = 0;
+  std::vector<CoreLoad> Cores = {{1000, 10}, {500, 10}, {0, 0}};
 
-  auto Policy = makeAdaptivePolicy(AdaptivePolicyKind::GreedyRebalance);
-  std::vector<Migration> Plan = Policy->plan(FB, Pending, Groups, *Topo);
+  std::vector<Migration> Plan = rebalance(Cores, Pending, Groups, *Topo);
+  EXPECT_FALSE(Plan.empty());
   for (const Migration &M : Plan)
     EXPECT_NE(M.To, 2u);
-}
-
-TEST(AdaptivePolicyTest, MWSteersSharesTowardCheaperCore) {
-  CacheTopology Topo = pairTopology();
-  // Costs this round: 100 vs 50 cycles/iter. Core 0's weight decays (0.8),
-  // core 1's grows (1.1); the desired share moves ~11.6 of the 20 pending
-  // iterations to core 1, which one whole-group move satisfies.
-  std::vector<IterationGroup> Groups = {makeGroup(0, 10), makeGroup(10, 10)};
-  std::vector<std::vector<std::uint32_t>> Pending = {{0, 1}, {}};
-  Feedback FB;
-  FB.Round = 1;
-  FB.Cores = {coreFB(1000, 10, 1000, 10, 20), coreFB(500, 10, 500, 10, 0)};
-
-  auto Policy = makeAdaptivePolicy(AdaptivePolicyKind::MultiplicativeWeights);
-  std::vector<Migration> Plan = Policy->plan(FB, Pending, Groups, Topo);
-  ASSERT_EQ(Plan.size(), 1u);
-  EXPECT_EQ(Plan[0].Group, 1u);
-  EXPECT_EQ(Plan[0].From, 0u);
-  EXPECT_EQ(Plan[0].To, 1u);
-  EXPECT_EQ(Policy->weightUpdates(), 2u); // both cores reweighted once
-}
-
-TEST(AdaptivePolicyTest, MWPlansNothingOnBalancedFeedback) {
-  CacheTopology Topo = pairTopology();
-  std::vector<IterationGroup> Groups = {makeGroup(0, 10), makeGroup(10, 10)};
-  std::vector<std::vector<std::uint32_t>> Pending = {{0}, {1}};
-  Feedback FB;
-  FB.Round = 1;
-  FB.Cores = {coreFB(1000, 10, 1000, 10, 10), coreFB(1000, 10, 1000, 10, 10)};
-
-  auto Policy = makeAdaptivePolicy(AdaptivePolicyKind::MultiplicativeWeights);
-  EXPECT_TRUE(Policy->plan(FB, Pending, Groups, Topo).empty());
-  EXPECT_EQ(Policy->weightUpdates(), 2u); // reweighted, just no surplus
 }
 
 //===----------------------------------------------------------------------===//
@@ -284,18 +227,14 @@ TEST(AdaptiveEndToEndTest, AdaptiveBeatsStaticOnDegradedMachine) {
       runOnMachine(Prog, Degraded, Strategy::TopologyAware, Opts).Cycles;
   const std::uint64_t Greedy =
       runOnMachine(Prog, Degraded, Strategy::AdaptiveGreedy, Opts).Cycles;
-  const std::uint64_t MW =
-      runOnMachine(Prog, Degraded, Strategy::AdaptiveMW, Opts).Cycles;
 
-  // The static mapping serializes on the half-speed core; both adaptive
-  // policies shed its pending groups after the first commit point. The CI
-  // gate demands >= 10%; the observed win is ~40%, so 0.9x leaves margin
-  // for mapper evolution without ever letting a regression through.
+  // The static mapping serializes on the half-speed core; the greedy
+  // rebalance sheds its pending groups after the first commit point. The
+  // CI gate demands >= 10%; the observed win is ~40%, so 0.9x leaves
+  // margin for mapper evolution without ever letting a regression through.
   ASSERT_GT(Static, 0u);
   EXPECT_LT(Greedy, Static - Static / 10)
       << "adaptive-greedy " << Greedy << " vs static " << Static;
-  EXPECT_LT(MW, Static - Static / 10)
-      << "adaptive-mw " << MW << " vs static " << Static;
 }
 
 TEST(AdaptiveEndToEndTest, AdaptiveStaysWithinNoiseOnUniformMachine) {
@@ -307,17 +246,13 @@ TEST(AdaptiveEndToEndTest, AdaptiveStaysWithinNoiseOnUniformMachine) {
       runOnMachine(Prog, Dun, Strategy::TopologyAware, Opts).Cycles;
   const std::uint64_t Greedy =
       runOnMachine(Prog, Dun, Strategy::AdaptiveGreedy, Opts).Cycles;
-  const std::uint64_t MW =
-      runOnMachine(Prog, Dun, Strategy::AdaptiveMW, Opts).Cycles;
 
-  // On a uniform machine the policies may still rebalance genuine load
-  // imbalance (greedy is not a no-op), but they must never cost more than
-  // a few percent against the static topology-aware mapping.
+  // On a uniform machine greedy may still rebalance genuine load imbalance
+  // (it is not a no-op), but it must never cost more than a few percent
+  // against the static topology-aware mapping.
   ASSERT_GT(Static, 0u);
   const std::uint64_t Tolerance = Static / 20; // 5%
   EXPECT_NEAR(static_cast<double>(Greedy), static_cast<double>(Static),
-              static_cast<double>(Tolerance));
-  EXPECT_NEAR(static_cast<double>(MW), static_cast<double>(Static),
               static_cast<double>(Tolerance));
 }
 
@@ -341,14 +276,15 @@ TEST(AdaptiveEndToEndTest, CountersReachTheRunResult) {
   Config.Jobs = 1;
   ExperimentRunner Runner(Config);
 
-  RunResult Adaptive = Runner.runOne(
-      makeRunTask(makeWorkload("cg"), degradedDunnington(),
-                  Strategy::AdaptiveMW, MappingOptions{}, "cg/adaptive-mw"));
+  RunResult Adaptive = Runner.runOne(makeRunTask(
+      makeWorkload("cg"), degradedDunnington(), Strategy::AdaptiveGreedy,
+      MappingOptions{}, "cg/adaptive-greedy"));
   EXPECT_GE(Adaptive.Counters["runtime.adapt.rounds"], 1u);
   EXPECT_GE(Adaptive.Counters["runtime.adapt.remaps"], 1u);
   EXPECT_GE(Adaptive.Counters["runtime.adapt.migrations"], 1u);
-  EXPECT_GE(Adaptive.Counters["runtime.adapt.weight_updates"], 1u);
   EXPECT_EQ(Adaptive.Counters.count("runtime.adapt.fallbacks"), 0u);
+  // No policy-specific counter rides along, not even as zero.
+  EXPECT_EQ(Adaptive.Counters.count("runtime.adapt.weight_updates"), 0u);
 
   RunResult Fallback = Runner.runOne(
       makeRunTask(makeWorkload("applu"), degradedDunnington(),
@@ -370,11 +306,7 @@ TEST(AdaptiveFingerprintTest, AdaptiveInputsMoveTheKey) {
       runFingerprint(Prog, Dun, nullptr, Strategy::TopologyAware, Opts);
   const std::uint64_t GreedyKey =
       runFingerprint(Prog, Dun, nullptr, Strategy::AdaptiveGreedy, Opts);
-  const std::uint64_t MWKey =
-      runFingerprint(Prog, Dun, nullptr, Strategy::AdaptiveMW, Opts);
   EXPECT_NE(StaticKey, GreedyKey);
-  EXPECT_NE(StaticKey, MWKey);
-  EXPECT_NE(GreedyKey, MWKey);
 
   // AdaptInterval changes simulated cycles, so it must move the key.
   MappingOptions Longer = Opts;
@@ -396,7 +328,7 @@ GridSpec adaptiveGrid() {
   Spec.Workloads = {"cg", "sp"};
   Spec.Machines = {makeDunnington().scaledCapacity(1.0 / 32),
                    degradedDunnington()};
-  Spec.Strategies = {Strategy::AdaptiveGreedy, Strategy::AdaptiveMW};
+  Spec.Strategies = {Strategy::AdaptiveGreedy};
   return Spec;
 }
 
@@ -411,7 +343,7 @@ std::vector<std::string> runGridBytes(const GridSpec &Spec, unsigned Jobs) {
 }
 
 TEST(AdaptiveDeterminismTest, JobsCountNeverChangesResults) {
-  // Jobs=4 and Jobs=0 (hardware threads) run the eight adaptive tasks
+  // Jobs=4 and Jobs=0 (hardware threads) run the four adaptive tasks
   // concurrently, each bumping the shared runtime.adapt.* counters from
   // its own run sink — this test is the TSan stress case for runtime/.
   GridSpec Spec = adaptiveGrid();

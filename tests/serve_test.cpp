@@ -616,6 +616,26 @@ TEST(ServeFlagsDeathTest, RemovedMultiProcessFlagsAreUnknown) {
   }
 }
 
+TEST(CtaCliDeathTest, RemovedAdaptiveSelectorsAreUnknown) {
+  // `cta run` has no adaptive-mw strategy and no --adapt-policy
+  // shorthand; both must fail as unknown rather than fall back to another
+  // strategy.
+  EXPECT_EXIT(::execl(CTA_TOOL_PATH, "cta", "run", "cg", "--machine",
+                      "dunnington", "--strategy", "adaptive-mw", nullptr),
+              ::testing::ExitedWithCode(1), "unknown strategy 'adaptive-mw'");
+  EXPECT_EXIT(::execl(CTA_TOOL_PATH, "cta", "run", "cg", "--machine",
+                      "dunnington", "--adapt-policy", "greedy", nullptr),
+              ::testing::ExitedWithCode(1),
+              "unknown `cta run` flag '--adapt-policy'");
+  // CTA_ADAPT_POLICY is no longer read, so it cannot revive the strategy.
+  EXPECT_EXIT((::setenv("CTA_ADAPT_POLICY", "mw", 1),
+               ::execl(CTA_TOOL_PATH, "cta", "run", "cg", "--machine",
+                       "dunnington", "--strategy", "adaptivemw", nullptr)),
+              ::testing::ExitedWithCode(1), "unknown strategy 'adaptivemw'");
+  EXPECT_FALSE(parseStrategyName("adaptive-mw").has_value());
+  EXPECT_EQ(parseStrategyName("Adaptive-Greedy"), Strategy::AdaptiveGreedy);
+}
+
 TEST(ServeFlagsTest, TelemetryFlagsParse) {
   ServerOptions Opts = parseServeArgs(
       {"--socket=/tmp/s", "--metrics-port=9090", "--log-json=/tmp/e.jsonl"});
@@ -727,6 +747,20 @@ protected:
 
   std::string socketPath() const { return Daemon->options().SocketPath; }
 };
+
+TEST_F(ServerTest, RemovedAdaptiveStrategyIsAnInBandBadRequest) {
+  startDaemon();
+  int Fd = connectTo(socketPath());
+  ASSERT_GE(Fd, 0);
+  JsonValue Resp = sendRecv(
+      Fd, minimalRequest(",\"id\":\"mw\",\"strategy\":\"adaptive-mw\""));
+  EXPECT_EQ(Resp.get("status")->asString(), "error");
+  EXPECT_EQ(Resp.get("id")->asString(), "mw");
+  EXPECT_EQ(Resp.get("error")->get("kind")->asString(), "bad_request");
+  EXPECT_NE(Resp.get("error")->get("message")->asString().find("adaptive-mw"),
+            std::string::npos);
+  ::close(Fd);
+}
 
 TEST_F(ServerTest, ColdThenWarmThenErrorsStayInBand) {
   startDaemon();

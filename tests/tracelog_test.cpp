@@ -8,17 +8,22 @@
 // engine-independence guarantee (fast probe() path and the reference
 // access()+fill() path emit identical event streams whose totals
 // reconcile one-for-one with the per-cache statistics counters), the
-// core-to-core sharing-flow attribution, and a golden `cta trace`
-// rendering on a tiny deterministic machine.
+// core-to-core sharing-flow attribution, a golden `cta trace` rendering
+// on a tiny deterministic machine, and rendering a log after the tasks
+// that filled it are gone.
 //
 //===----------------------------------------------------------------------===//
 
+#include "exec/ExperimentRunner.h"
+#include "serve/Json.h"
 #include "sim/Engine.h"
 #include "sim/MachineSim.h"
 #include "sim/TraceExport.h"
 #include "sim/TraceLog.h"
 #include "sim/TraceReport.h"
+#include "topo/Presets.h"
 #include "topo/Topology.h"
+#include "workloads/Suite.h"
 
 #include <gtest/gtest.h>
 
@@ -396,6 +401,98 @@ events: 128 collected, 0 dropped from the ring (aggregates below are exact)
   memory accesses: 8
 )";
   EXPECT_EQ(Report, Golden);
+}
+
+//===----------------------------------------------------------------------===//
+// Log lifetime
+//===----------------------------------------------------------------------===//
+
+/// The cta-trace-v1 rules of scripts/check_artifact_schema.py, plus one
+/// otherData.caches entry per cache node of \p Machine.
+void expectValidChromeTrace(const std::string &Json,
+                            const CacheTopology &Machine) {
+  using serve::JsonValue;
+  std::string Err;
+  std::optional<JsonValue> Doc = serve::parseJson(Json, &Err);
+  ASSERT_TRUE(Doc.has_value()) << Err;
+  const JsonValue *Events = Doc->get("traceEvents");
+  ASSERT_TRUE(Events && Events->isArray());
+  ASSERT_TRUE(Doc->get("displayTimeUnit") &&
+              Doc->get("displayTimeUnit")->isString());
+  const JsonValue *Other = Doc->get("otherData");
+  ASSERT_TRUE(Other && Other->isObject());
+  EXPECT_EQ(Other->get("schema")->asString(), "cta-trace-v1");
+  for (const char *Key : {"workload", "machine", "strategy"})
+    EXPECT_TRUE(Other->get(Key) && Other->get(Key)->isString()) << Key;
+  for (const char *Key : {"total_events", "dropped_events", "ring_capacity",
+                          "rounds", "memory_accesses"})
+    EXPECT_TRUE(Other->get(Key) && Other->get(Key)->isNumber()) << Key;
+  const JsonValue *Caches = Other->get("caches");
+  ASSERT_TRUE(Caches && Caches->isArray());
+  EXPECT_EQ(Caches->Arr.size(), Machine.numNodes() - 1);
+  for (const JsonValue &C : Caches->Arr) {
+    for (const char *Key :
+         {"node", "level", "hits", "misses", "evictions", "fills"})
+      ASSERT_TRUE(C.get(Key) && C.get(Key)->isNumber()) << Key;
+    // Inclusive fill-on-miss: every miss fills, only fills evict.
+    EXPECT_EQ(C.get("fills")->Num, C.get("misses")->Num);
+    EXPECT_LE(C.get("evictions")->Num, C.get("fills")->Num);
+  }
+  for (const JsonValue &Ev : Events->Arr) {
+    ASSERT_TRUE(Ev.isObject());
+    const std::string Ph = Ev.get("ph") ? Ev.get("ph")->asString() : "";
+    ASSERT_TRUE(Ph == "X" || Ph == "i" || Ph == "M") << Ph;
+    EXPECT_TRUE(Ev.get("name") && Ev.get("name")->isString());
+    EXPECT_TRUE(Ev.get("pid") && Ev.get("pid")->isNumber());
+    EXPECT_TRUE(Ev.get("tid") && Ev.get("tid")->isNumber());
+    if (Ph == "M") {
+      EXPECT_TRUE(Ev.get("args") && Ev.get("args")->isObject());
+      continue;
+    }
+    EXPECT_TRUE(Ev.get("ts") && Ev.get("ts")->isNumber());
+    if (Ph == "X")
+      EXPECT_TRUE(Ev.get("dur") && Ev.get("dur")->isNumber());
+    else
+      EXPECT_TRUE(Ev.get("s") && Ev.get("s")->isString());
+  }
+}
+
+TEST(TraceLogLifetimeTest, RendersAfterTheTasksAreGone) {
+  // The executor simulates a copy of each task, and that copy is freed
+  // when the run finishes; `cta trace` renders the logs afterwards. The
+  // log must therefore own the topology it renders.
+  const CacheTopology Machine = makeNehalem().scaledCapacity(1.0 / 32);
+  for (unsigned Jobs : {1u, 2u}) {
+    TraceConfig Config;
+    Config.RingCapacity = 1u << 12; // keeps the exported JSON small
+    std::shared_ptr<TraceLog> Log = std::make_shared<TraceLog>(Config);
+    std::vector<obs::PhaseRecord> Phases;
+    {
+      std::vector<RunTask> Tasks;
+      Tasks.push_back(makeRunTask(makeWorkload("cg"), Machine,
+                                  Strategy::TopologyAware, MappingOptions{},
+                                  "cg/traced"));
+      Tasks[0].TraceSink = Log;
+      ExecConfig Exec;
+      Exec.Jobs = Jobs;
+      ExperimentRunner Runner(Exec);
+      std::vector<RunResult> Results = Runner.run(Tasks);
+      ASSERT_EQ(Results.size(), 1u);
+      Phases = Results[0].Phases;
+    }
+
+    ASSERT_TRUE(Log->bound());
+    EXPECT_EQ(Log->topology(), Machine);
+    const std::string Report = renderTraceReport(*Log);
+    EXPECT_NE(Report.find("trace report: machine " + Machine.name() + " (" +
+                          std::to_string(Machine.numCores()) + " cores, " +
+                          std::to_string(Machine.numNodes() - 1) + " nodes)"),
+              std::string::npos)
+        << Report.substr(0, 200);
+    expectValidChromeTrace(
+        renderChromeTrace(*Log, Phases, {"cg", "nehalem", "TopologyAware"}),
+        Machine);
+  }
 }
 
 } // namespace

@@ -56,6 +56,7 @@
 #include "obs/RunArtifact.h"
 #include "poly/CodeGen.h"
 #include "serve/Client.h"
+#include "serve/Protocol.h"
 #include "serve/Server.h"
 #include "serve/Shutdown.h"
 #include "serve/Top.h"
@@ -105,12 +106,9 @@ const char *UsageText =
     "  --runs-on M      execute the mapping on a different machine than it\n"
     "                   was compiled for (cross-machine porting)\n"
     "  --strategy S     base | base+ | local | topology-aware | combined |\n"
-    "                   adaptive-greedy | adaptive-mw\n"
-    "                   (default topology-aware)\n"
-    "  --adapt-policy P greedy | mw: shorthand for the matching adaptive\n"
-    "                   strategy (conflicts with a different --strategy)\n"
+    "                   adaptive-greedy (default topology-aware)\n"
     "  --adapt-interval N   groups each core retires between adaptive remap\n"
-    "                   commit points (default 4; adaptive strategies only)\n"
+    "                   commit points (default 4; adaptive-greedy only)\n"
     "  --scale F        cache-capacity scale factor (default 0.03125, the\n"
     "                   1/32 regime every bench uses; 1 = full size)\n"
     "  --alpha X        horizontal-reuse weight (combined strategy)\n"
@@ -170,26 +168,6 @@ CacheTopology resolveMachine(const std::string &Spec, double Scale) {
   return Topo->scaledCapacity(Scale);
 }
 
-std::optional<Strategy> parseStrategy(std::string Name) {
-  std::transform(Name.begin(), Name.end(), Name.begin(),
-                 [](unsigned char C) { return std::tolower(C); });
-  if (Name == "base" || Name == "os-default")
-    return Strategy::Base;
-  if (Name == "base+" || Name == "baseplus")
-    return Strategy::BasePlus;
-  if (Name == "local")
-    return Strategy::Local;
-  if (Name == "topology-aware" || Name == "topologyaware" || Name == "cta")
-    return Strategy::TopologyAware;
-  if (Name == "combined")
-    return Strategy::Combined;
-  if (Name == "adaptive-greedy" || Name == "adaptivegreedy")
-    return Strategy::AdaptiveGreedy;
-  if (Name == "adaptive-mw" || Name == "adaptivemw")
-    return Strategy::AdaptiveMW;
-  return std::nullopt;
-}
-
 bool isBuiltinWorkload(const std::string &Name) {
   for (const std::string &W : workloadNames())
     if (W == Name)
@@ -245,7 +223,7 @@ int runList() {
   std::printf("\nstrategies (usable as `--strategy <name>`):\n");
   for (Strategy S : {Strategy::Base, Strategy::BasePlus, Strategy::Local,
                      Strategy::TopologyAware, Strategy::Combined,
-                     Strategy::AdaptiveGreedy, Strategy::AdaptiveMW})
+                     Strategy::AdaptiveGreedy})
     std::printf("  %-14s %s\n", strategyName(S), strategyDescription(S));
   std::printf(
       "\nsimulator engines (selected with `--sim-threads N`):\n"
@@ -264,11 +242,11 @@ int runList() {
       "  tracing is on (`cta trace` / --emit-trace need the global event\n"
       "  order), when the machine has a single core, when any core declares\n"
       "  a speed/disabled attribute (heterogeneous timing breaks the epoch\n"
-      "  partition), or when the strategy is adaptive: adaptive-greedy and\n"
-      "  adaptive-mw remap iteration groups at round boundaries from\n"
-      "  observed cache feedback, which needs the sequential engine's\n"
-      "  global event order (exactly like tracing). Adaptive runs stay\n"
-      "  deterministic — byte-identical artifacts at every --jobs count.\n");
+      "  partition), or when the strategy is adaptive-greedy: it remaps\n"
+      "  iteration groups at round boundaries from each core's observed\n"
+      "  load, which needs the sequential engine's global event order\n"
+      "  (exactly like tracing). Adaptive runs stay deterministic —\n"
+      "  byte-identical artifacts at every --jobs count.\n");
   return 0;
 }
 
@@ -415,7 +393,6 @@ int runRun(int argc, char **argv, const std::vector<std::string> &Args,
   std::vector<std::string> MachineSpecs;
   std::string RunsOnSpec;
   Strategy Strat = Strategy::TopologyAware;
-  bool StratExplicit = false;
   double Scale = 1.0 / 32;
   MappingOptions Opts = ExperimentConfig::makeDefaultOptions();
   bool EmitCode = false;
@@ -435,11 +412,10 @@ int runRun(int argc, char **argv, const std::vector<std::string> &Args,
       RunsOnSpec = value("--runs-on");
     } else if (Arg == "--strategy") {
       const std::string &Name = value("--strategy");
-      std::optional<Strategy> S = parseStrategy(Name);
+      std::optional<Strategy> S = serve::parseStrategyName(Name);
       if (!S)
         usageError("unknown strategy '" + Name + "'");
       Strat = *S;
-      StratExplicit = true;
     } else if (Arg == "--scale") {
       Scale = parseDoubleOrDie("--scale", value("--scale"));
       if (!(Scale > 0.0))
@@ -486,14 +462,6 @@ int runRun(int argc, char **argv, const std::vector<std::string> &Args,
   Config.BenchName = "cta";
   if (Config.AdaptInterval != 0)
     Opts.AdaptInterval = Config.AdaptInterval;
-  if (!Config.AdaptPolicy.empty()) {
-    Strategy Wanted = Config.AdaptPolicy == "mw" ? Strategy::AdaptiveMW
-                                                 : Strategy::AdaptiveGreedy;
-    if (StratExplicit && Strat != Wanted)
-      usageError("--adapt-policy " + Config.AdaptPolicy +
-                 " conflicts with --strategy " + strategyName(Strat));
-    Strat = Wanted;
-  }
 
   // Same signal path as the daemon: SIGINT/SIGTERM let in-flight
   // simulations finish (the RunCache never sees a partial entry), skip
